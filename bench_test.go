@@ -1,6 +1,7 @@
 package containerdrone_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -66,7 +67,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := campaign.Run(spec); err != nil {
+		if _, _, _, err := campaign.Run(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}

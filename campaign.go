@@ -110,12 +110,12 @@ func StreamRecordsCSV(w io.Writer) (stream func(Record), done func() error, err 
 }
 
 // WithColdStart disables warm-pool reuse: every run rebuilds its
-// simulation from scratch instead of resetting a per-worker cached
-// instance. Campaigns default to reuse — the two paths produce
-// byte-identical records (reset-to-cold equivalence is pinned by the
-// test suite for every registry scenario) and reuse is what makes a
-// campaign run allocation-free at steady state. The escape hatch
-// exists for debugging and A/B measurement.
+// simulation from scratch instead of rewinding a per-worker cached
+// instance to its tick-0 snapshot. Campaigns default to reuse — the two
+// paths produce byte-identical records (rewind-to-cold equivalence is
+// pinned by the test suite for every registry scenario) and reuse is
+// what makes a campaign run allocation-free at steady state. The
+// escape hatch exists for debugging and A/B measurement.
 func WithColdStart() CampaignOption {
 	return func(c *Campaign) { c.coldStart = true }
 }
@@ -196,7 +196,7 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 			}
 		}
 	}
-	records, aggs, stats, err := campaign.RunAggregatedStats(ctx, spec)
+	records, aggs, stats, err := campaign.Run(ctx, spec)
 	if records == nil {
 		return nil, err
 	}

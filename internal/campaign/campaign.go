@@ -57,9 +57,10 @@ type Spec struct {
 	Duration time.Duration
 
 	// ColdStart disables warm-pool reuse: every run rebuilds its
-	// core.System from scratch instead of resetting a per-worker
-	// cached instance. The two paths produce byte-identical records
-	// (core.System.Reset is pinned to cold-build equivalence); the
+	// core.System from scratch instead of restoring a per-worker
+	// cached instance from its tick-0 snapshot. The two paths produce
+	// byte-identical records (the tick-0 restore is pinned to
+	// cold-build equivalence); the
 	// escape hatch exists for debugging and for the equivalence tests
 	// themselves.
 	ColdStart bool
@@ -85,10 +86,8 @@ type Spec struct {
 	// inside the worker's recover boundary before every full-flight
 	// run attempt — it may panic, stall, or return a (possibly
 	// Transient) error, proving the campaign's crash isolation works
-	// without corrupting anything. When nil, the hook is read from the
-	// ChaosEnv environment variable so separately built binaries
-	// (campaignd under a CI chaos job) can be injected too. Production
-	// campaigns leave both unset and pay only a recover() frame.
+	// without corrupting anything. Production campaigns leave it nil
+	// and pay only a recover() frame.
 	Chaos Chaos
 
 	// Stream, when non-nil, receives every Record exactly once, from a
@@ -160,38 +159,24 @@ func DeriveSeed(base uint64, point, run int) uint64 {
 	return z
 }
 
-// Run executes the campaign and returns one Record per (point, run),
-// ordered by point then run index regardless of worker interleaving.
-func Run(spec Spec) ([]Record, error) {
-	return RunContext(context.Background(), spec)
-}
-
-// RunContext is Run with cancellation: when the context is done, no
-// new runs are dispatched, in-flight runs stop at the next engine
-// checkpoint, and the partial record set is returned together with
-// the context's error. Every cell is present in the output; cells
-// that never ran (or were interrupted) carry a non-empty Err.
-func RunContext(ctx context.Context, spec Spec) ([]Record, error) {
-	records, _, err := RunAggregated(ctx, spec)
-	return records, err
-}
-
-// RunAggregated is RunContext returning the per-point aggregates
-// alongside the records. Aggregation is sharded: each worker folds
-// its completed runs into a private partial aggregate as it goes, and
-// the shards are merged once after the pool drains — no post-pass
-// over the record population and no cross-worker synchronization on
-// the hot path. The merged aggregates are identical to
-// AggregateRecords over the same records.
-func RunAggregated(ctx context.Context, spec Spec) ([]Record, []Aggregate, error) {
-	records, aggs, _, err := RunAggregatedStats(ctx, spec)
-	return records, aggs, err
-}
-
-// RunAggregatedStats is RunAggregated also returning the campaign's
-// execution Stats: ticks flown, prefix ticks saved by checkpoint
-// forking, and how much of the grid qualified for sharing.
-func RunAggregatedStats(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
+// Run executes the campaign. It returns one Record per (point, run),
+// ordered by point then run index regardless of worker interleaving;
+// the per-point aggregates; and the execution Stats: ticks flown,
+// prefix ticks saved by checkpoint forking, and how much of the grid
+// qualified for sharing.
+//
+// When ctx is done, no new runs are dispatched, in-flight runs stop at
+// the next engine checkpoint, and the partial result is returned
+// together with the context's error. Every cell is present in the
+// output; cells that never ran (or were interrupted) carry a non-empty
+// Err.
+//
+// Aggregation is sharded: each worker folds its completed runs into a
+// private partial aggregate as it goes, and the shards are merged once
+// after the pool drains — no post-pass over the record population and
+// no cross-worker synchronization on the hot path. The merged
+// aggregates are identical to AggregateRecords over the same records.
+func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	var stats Stats
 	if spec.Runs <= 0 {
 		return nil, nil, stats, fmt.Errorf("campaign: non-positive run count %d", spec.Runs)
@@ -222,17 +207,6 @@ func RunAggregatedStats(ctx context.Context, spec Spec) ([]Record, []Aggregate, 
 			}
 		}
 		plan = singletonPlan(len(spec.Points))
-	}
-	chaos := spec.Chaos
-	if chaos == nil {
-		c, err := chaosFromEnv()
-		if err != nil {
-			return nil, nil, stats, err
-		}
-		chaos = c
-	}
-	if ec, ok := chaos.(*envChaos); ok {
-		ec.bind(spec.Runs) // env directives address flat run indices
 	}
 	workers := spec.Parallel
 	if workers <= 0 {
@@ -293,7 +267,7 @@ func RunAggregatedStats(ctx context.Context, spec Spec) ([]Record, []Aggregate, 
 
 	// Work is dispatched as contiguous per-group run ranges rather
 	// than single cells: a worker that receives runs [lo, hi) of one
-	// group cold-builds each member at most once and resets between
+	// group cold-builds each member at most once and restores between
 	// the rest, so warm reuse survives even when a group's run count
 	// is at or below the worker count (per-cell dispatch would hand
 	// each worker a different point every pull and silently degrade
@@ -335,7 +309,7 @@ func RunAggregatedStats(ctx context.Context, spec Spec) ([]Record, []Aggregate, 
 		wg.Add(1)
 		go func(wi int, shard *Shard) {
 			defer wg.Done()
-			w := worker{spec: spec, plan: plan, pi: -1, gi: -1, chaos: chaos}
+			w := worker{spec: spec, plan: plan, pi: -1, gi: -1, chaos: spec.Chaos}
 			emit := func(idx int) {
 				pi := idx / spec.Runs
 				shard.Add(pi, &records[idx])
@@ -422,23 +396,28 @@ func buildPoint(p Point, spec Spec, seed uint64) (core.Config, error) {
 
 // worker is one pool member's run state: the cached warm System(s)
 // for the work it is currently flying, plus a reused Result buffer
-// and a reused Snapshot. A warm run rewinds a cached System with
-// Reset(seed) instead of rebuilding it — rings, schedules,
-// fault/attack plans, and telemetry buffers all survive in place, so
-// the steady state of a campaign allocates nothing per run. Fork
-// groups cycle through K member points per run index, so they use a
-// per-point map cache (cleared on group switch) beside the classic
-// single slot.
+// and reused Snapshots. A warm run restores a cached System from the
+// tick-0 Snapshot captured right after its build instead of
+// rebuilding it — rings, schedules, fault/attack plans, and telemetry
+// buffers all survive in place, so the steady state of a campaign
+// allocates nothing per run. Only a System the worker will fly again
+// is worth that capture: a point with another run left in the chunk,
+// or a fork group's leader. Fork groups cycle through K member points
+// per run index, so they use a per-point map cache (cleared on group
+// switch) beside the classic single slot; members are restored
+// straight from the fork snapshot.
 type worker struct {
 	spec  Spec
 	plan  *forkPlan
 	chaos Chaos
 	pi    int // point index the cached System was built for (-1 none)
 	sys   *core.System
+	base  core.Snapshot // sys at tick 0
 	res   core.Result
 	gi    int // fork group the map cache belongs to (-1 none)
 	group map[int]*core.System
-	snap  core.Snapshot
+	lead  core.Snapshot // the group leader at tick 0
+	snap  core.Snapshot // the group's fork point
 	stats Stats
 }
 
@@ -481,7 +460,7 @@ func (w *worker) runChunk(ctx context.Context, gi, lo, hi int, records []Record,
 				if err := ctx.Err(); err != nil {
 					records[idx] = w.errRecord(pi, ri, err)
 				} else {
-					records[idx] = w.runCell(ctx, pi, ri)
+					records[idx] = w.runCell(ctx, pi, ri, ri+1 < hi)
 				}
 				emit(idx)
 			}
@@ -497,7 +476,7 @@ func (w *worker) runChunk(ctx context.Context, gi, lo, hi int, records []Record,
 			}
 			continue
 		}
-		w.runForkIndex(ctx, gi, g, ri, records, emit)
+		w.runForkIndex(ctx, gi, g, ri, ri+1 < hi, records, emit)
 	}
 }
 
@@ -507,8 +486,9 @@ func (w *worker) runChunk(ctx context.Context, gi, lo, hi int, records []Record,
 // only the cell it surfaced on, discards the worker's pooled state,
 // and degrades the remaining members to full (still protected)
 // flights — one poisoned (scenario, seed) point cannot sink its
-// group, let alone the campaign.
-func (w *worker) runForkIndex(ctx context.Context, gi int, g *forkGroup, ri int, records []Record, emit func(int)) {
+// group, let alone the campaign. again reports whether another run
+// index of the group follows in the chunk.
+func (w *worker) runForkIndex(ctx context.Context, gi int, g *forkGroup, ri int, again bool, records []Record, emit func(int)) {
 	leadPI := g.leader()
 	seed := DeriveSeed(w.spec.BaseSeed, leadPI, ri)
 	lidx := leadPI*w.spec.Runs + ri
@@ -532,7 +512,7 @@ func (w *worker) runForkIndex(ctx context.Context, gi int, g *forkGroup, ri int,
 		emit(lidx)
 		for _, pi := range g.members[1:] {
 			idx := pi*w.spec.Runs + ri
-			records[idx] = w.runCell(ctx, pi, ri)
+			records[idx] = w.runCell(ctx, pi, ri, again)
 			emit(idx)
 		}
 		return
@@ -559,7 +539,7 @@ func (w *worker) runForkIndex(ctx context.Context, gi int, g *forkGroup, ri int,
 		emit(lidx)
 		for _, pi := range g.members[1:] {
 			idx := pi*w.spec.Runs + ri
-			records[idx] = w.runCell(ctx, pi, ri)
+			records[idx] = w.runCell(ctx, pi, ri, again)
 			emit(idx)
 		}
 		return
@@ -586,7 +566,7 @@ func (w *worker) runForkIndex(ctx context.Context, gi int, g *forkGroup, ri int,
 	if fallback {
 		for _, pi := range g.members[1:] {
 			idx := pi*w.spec.Runs + ri
-			records[idx] = w.runCell(ctx, pi, ri)
+			records[idx] = w.runCell(ctx, pi, ri, again)
 			emit(idx)
 		}
 		return
@@ -641,7 +621,7 @@ func (w *worker) protectedFinish(ctx context.Context, sys *core.System, pi, ri i
 // backoff; a panic quarantines the cell — its failure record is
 // final — and discards the worker's warm pooled state, since the
 // panic may have unwound mid-mutation.
-func (w *worker) runCell(ctx context.Context, pi, ri int) Record {
+func (w *worker) runCell(ctx context.Context, pi, ri int, again bool) Record {
 	var rec Record
 	for attempt := 0; ; attempt++ {
 		err, panicked, stack := protect(func() error {
@@ -650,7 +630,7 @@ func (w *worker) runCell(ctx context.Context, pi, ri int) Record {
 					return cerr
 				}
 			}
-			rec = w.runOne(ctx, pi, ri)
+			rec = w.runOne(ctx, pi, ri, again)
 			return nil
 		})
 		switch {
@@ -676,12 +656,14 @@ func (w *worker) runCell(ctx context.Context, pi, ri int) Record {
 	}
 }
 
-// system returns a System ready to run (point pi, given seed):
-// the cached instance reset in place when the point matches, a cold
-// build otherwise.
-func (w *worker) system(pi int, seed uint64) (*core.System, error) {
-	if !w.spec.ColdStart && w.sys != nil && w.pi == pi {
-		w.sys.Reset(seed)
+// system returns a System ready to run (point pi, given seed): the
+// cached instance restored from its tick-0 snapshot when the point
+// matches, a cold build otherwise. again reports whether the worker
+// flies the point once more in this chunk; only then is a cold build
+// captured at tick 0 and cached.
+func (w *worker) system(pi int, seed uint64, again bool) (*core.System, error) {
+	if w.sys != nil && w.pi == pi {
+		w.sys.RestoreFrom(seed, &w.base)
 		return w.sys, nil
 	}
 	cfg, err := buildPoint(w.spec.Points[pi], w.spec, seed)
@@ -692,21 +674,28 @@ func (w *worker) system(pi int, seed uint64) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !w.spec.ColdStart {
+	if again && !w.spec.ColdStart {
+		sys.SnapshotInto(&w.base)
 		w.sys, w.pi = sys, pi
 	}
 	return sys, nil
 }
 
 // groupSystem is the fork path's warm cache: a System for point pi of
-// group gi, reset to seed. The map is dropped when the worker moves
-// to a different group, bounding residency at one group's width.
+// group gi. The map is dropped when the worker moves to a different
+// group, bounding residency at one group's width. The leader, which
+// flies from tick 0, comes back restored from its tick-0 snapshot
+// under seed; a member comes back as its last flight left it, for the
+// caller to restore from the fork snapshot.
 func (w *worker) groupSystem(gi, pi int, seed uint64) (*core.System, error) {
 	if w.gi != gi {
 		w.gi, w.group = gi, nil
 	}
+	leader := pi == w.plan.groups[gi].leader()
 	if sys := w.group[pi]; sys != nil {
-		sys.Reset(seed)
+		if leader {
+			sys.RestoreFrom(seed, &w.lead)
+		}
 		return sys, nil
 	}
 	cfg, err := buildPoint(w.spec.Points[pi], w.spec, seed)
@@ -716,6 +705,9 @@ func (w *worker) groupSystem(gi, pi int, seed uint64) (*core.System, error) {
 	sys, err := core.New(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if leader {
+		sys.SnapshotInto(&w.lead)
 	}
 	if w.group == nil {
 		w.group = make(map[int]*core.System, 8)
@@ -738,11 +730,11 @@ func (w *worker) errRecord(pi, ri int, err error) Record {
 }
 
 // runOne executes a single (point, run) cell as a full flight.
-func (w *worker) runOne(ctx context.Context, pi, ri int) Record {
+func (w *worker) runOne(ctx context.Context, pi, ri int, again bool) Record {
 	p := w.spec.Points[pi]
 	seed := DeriveSeed(w.spec.BaseSeed, w.plan.leaderOf[pi], ri)
 	rec := Record{Point: p.Label, Scenario: p.Scenario, Run: ri, Seed: seed}
-	sys, err := w.system(pi, seed)
+	sys, err := w.system(pi, seed, again)
 	if err != nil {
 		rec.Err = err.Error()
 		return rec
@@ -752,7 +744,7 @@ func (w *worker) runOne(ctx context.Context, pi, ri int) Record {
 	}
 	if err := sys.RunContextInto(ctx, &w.res); err != nil {
 		// An interrupted flight carries no trustworthy metrics. The
-		// cached System stays reusable: Reset rewinds mid-run state.
+		// cached System stays reusable: a restore rewinds mid-run state.
 		rec.Err = err.Error()
 		return rec
 	}

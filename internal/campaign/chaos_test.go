@@ -42,12 +42,12 @@ func TestChaosPanicIsolation(t *testing.T) {
 		return nil
 	})
 
-	clean, cleanAggs, err := RunAggregated(context.Background(), chaosSpec("baseline", runs, ChaosFunc(
+	clean, cleanAggs, _, err := Run(context.Background(), chaosSpec("baseline", runs, ChaosFunc(
 		func(point, run, attempt int) error { return nil })))
 	if err != nil {
 		t.Fatalf("clean campaign: %v", err)
 	}
-	injected, aggs, stats, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", runs, hook))
+	injected, aggs, stats, err := Run(context.Background(), chaosSpec("baseline", runs, hook))
 	if err != nil {
 		t.Fatalf("injected campaign must not fail as a whole: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestChaosPanicIsolation(t *testing.T) {
 // fields, so pre-recovery consumers see byte-identical output.
 func TestChaosZeroFailureOutputIdentical(t *testing.T) {
 	spec := chaosSpec("baseline", 4, nil)
-	records, aggs, stats, err := RunAggregatedStats(context.Background(), spec)
+	records, aggs, stats, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestChaosZeroFailureOutputIdentical(t *testing.T) {
 // deterministic), while a permanent error fails without retry and an
 // always-transient failure exhausts its attempt budget.
 func TestChaosTransientRetry(t *testing.T) {
-	clean, _, err := RunAggregated(context.Background(), chaosSpec("baseline", 3, nil))
+	clean, _, _, err := Run(context.Background(), chaosSpec("baseline", 3, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestChaosTransientRetry(t *testing.T) {
 			}
 			return nil
 		})
-		records, aggs, stats, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 3, hook))
+		records, aggs, stats, err := Run(context.Background(), chaosSpec("baseline", 3, hook))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestChaosTransientRetry(t *testing.T) {
 			}
 			return nil
 		})
-		records, _, stats, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 3, hook))
+		records, _, stats, err := Run(context.Background(), chaosSpec("baseline", 3, hook))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestChaosTransientRetry(t *testing.T) {
 			}
 			return nil
 		})
-		records, _, stats, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 2, hook))
+		records, _, stats, err := Run(context.Background(), chaosSpec("baseline", 2, hook))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestChaosPanicContracts(t *testing.T) {
 				tc.trigger()
 				return nil
 			})
-			records, aggs, stats, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 1, hook))
+			records, aggs, stats, err := Run(context.Background(), chaosSpec("baseline", 1, hook))
 			if err != nil {
 				t.Fatalf("campaign must survive the panic: %v", err)
 			}
@@ -255,16 +255,17 @@ func TestChaosPanicContracts(t *testing.T) {
 // TestChaosStall: a stalled run (hung dependency simulated by the
 // hook sleeping) delays the campaign but corrupts nothing.
 func TestChaosStall(t *testing.T) {
-	clean, _, err := RunAggregated(context.Background(), chaosSpec("baseline", 3, nil))
+	clean, _, _, err := Run(context.Background(), chaosSpec("baseline", 3, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook, err := ParseChaos("stall@1:30ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hook.(*envChaos).bind(3)
-	records, _, err := RunAggregated(context.Background(), chaosSpec("baseline", 3, hook))
+	hook := ChaosFunc(func(point, run, attempt int) error {
+		if run == 1 && attempt == 0 {
+			time.Sleep(30 * time.Millisecond)
+		}
+		return nil
+	})
+	records, _, _, err := Run(context.Background(), chaosSpec("baseline", 3, hook))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,32 +273,5 @@ func TestChaosStall(t *testing.T) {
 	want, _ := json.Marshal(clean)
 	if string(got) != string(want) {
 		t.Errorf("stalled campaign diverged:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestChaosEnv covers the environment-variable injection path used by
-// separately built binaries (campaignd under the CI chaos job): a
-// spec in ChaosEnv applies to campaigns with no explicit hook, and a
-// malformed spec fails the campaign loudly at start.
-func TestChaosEnv(t *testing.T) {
-	t.Setenv(ChaosEnv, "panic@2;transient@0")
-	spec := chaosSpec("baseline", 4, nil)
-	records, _, stats, err := RunAggregatedStats(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !records[2].Panicked {
-		t.Errorf("env-injected panic not quarantined: %+v", records[2])
-	}
-	if records[0].Retries != 1 || records[0].Err != "" {
-		t.Errorf("env-injected transient not retried: %+v", records[0])
-	}
-	if stats.RunsPanicked != 1 || stats.RunsRetried != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
-
-	t.Setenv(ChaosEnv, "panic@")
-	if _, _, _, err := RunAggregatedStats(context.Background(), spec); err == nil {
-		t.Error("malformed chaos spec must fail the campaign at start")
 	}
 }

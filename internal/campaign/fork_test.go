@@ -45,13 +45,13 @@ func TestForkEquivalence(t *testing.T) {
 			t.Parallel()
 			spec := forkSpec(sc.Name, 2)
 
-			forkRec, forkAgg, stats, err := RunAggregatedStats(context.Background(), spec)
+			forkRec, forkAgg, stats, err := Run(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cold := spec
 			cold.ColdStart = true
-			coldRec, coldAgg, coldStats, err := RunAggregatedStats(context.Background(), cold)
+			coldRec, coldAgg, coldStats, err := Run(context.Background(), cold)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,14 +104,14 @@ func TestForkDeterminismAcrossParallel(t *testing.T) {
 	baseline := spec
 	baseline.ColdStart = true
 	baseline.Parallel = 2
-	want, err := Run(baseline)
+	want, _, _, err := Run(context.Background(), baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallel := range []int{1, 3, 8} {
 		s := spec
 		s.Parallel = parallel
-		got, err := Run(s)
+		got, _, _, err := Run(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestForkStreamIndexOrder(t *testing.T) {
 				streamed = append(streamed, r)
 				mu.Unlock()
 			}
-			records, err := RunContext(context.Background(), spec)
+			records, _, _, err := Run(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +287,7 @@ func TestPlanPrefixGroups(t *testing.T) {
 func TestForkSeedsFollowLeader(t *testing.T) {
 	spec := forkSpec("udpflood", 2)
 	spec.Duration = 10 * time.Second
-	records, err := Run(spec)
+	records, _, _, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

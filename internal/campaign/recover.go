@@ -4,11 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime/debug"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 )
 
@@ -80,115 +76,6 @@ type ChaosFunc func(point, run, attempt int) error
 
 // BeforeRun implements Chaos.
 func (f ChaosFunc) BeforeRun(point, run, attempt int) error { return f(point, run, attempt) }
-
-// ChaosEnv is the environment variable holding a chaos spec applied
-// to every campaign whose Spec carries no explicit hook — the way a
-// separately built binary (campaignd under a CI chaos job) gets
-// fault injection without a test-only API surface. Empty disables.
-const ChaosEnv = "CONTAINERDRONE_CHAOS"
-
-// ParseChaos parses a chaos spec string: semicolon-separated
-// directives, each targeting one flat run index (point*runs+run):
-//
-//	panic@IDX          panic at that cell's first attempt
-//	transient@IDX      fail the first attempt with a Transient error
-//	error@IDX          fail every attempt with a permanent error
-//	stall@IDX:DUR      sleep DUR (Go duration) before the first attempt
-//
-// Directives fire on attempt 0 only (except error@), so a transient
-// directive proves retry succeeds and a panic directive proves the
-// quarantine is final. An empty spec returns a nil hook.
-func ParseChaos(spec string) (Chaos, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	h := &envChaos{cells: make(map[int]chaosDirective)}
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kind, target, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("campaign: bad chaos directive %q (want kind@index)", part)
-		}
-		d := chaosDirective{kind: kind}
-		if kind == "stall" {
-			idxs, durs, ok := strings.Cut(target, ":")
-			if !ok {
-				return nil, fmt.Errorf("campaign: stall directive %q wants stall@index:duration", part)
-			}
-			dur, err := time.ParseDuration(durs)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: bad stall duration in %q: %v", part, err)
-			}
-			d.stall = dur
-			target = idxs
-		}
-		switch kind {
-		case "panic", "transient", "error", "stall":
-		default:
-			return nil, fmt.Errorf("campaign: unknown chaos kind %q in %q", kind, part)
-		}
-		idx, err := strconv.Atoi(target)
-		if err != nil || idx < 0 {
-			return nil, fmt.Errorf("campaign: bad chaos index in %q", part)
-		}
-		h.cells[idx] = d
-	}
-	return h, nil
-}
-
-// chaosFromEnv builds the process-wide chaos hook from ChaosEnv. A
-// malformed spec fails loudly at campaign start rather than silently
-// injecting nothing.
-func chaosFromEnv() (Chaos, error) {
-	return ParseChaos(os.Getenv(ChaosEnv))
-}
-
-type chaosDirective struct {
-	kind  string
-	stall time.Duration
-}
-
-// envChaos keys directives on the flat run index. The runs-per-point
-// width is bound by the campaign at start (the env spec cannot know
-// it), and each directive fires per matching cell attempt as
-// documented on ParseChaos.
-type envChaos struct {
-	mu    sync.Mutex
-	runs  int
-	cells map[int]chaosDirective
-}
-
-func (h *envChaos) bind(runs int) { h.mu.Lock(); h.runs = runs; h.mu.Unlock() }
-
-func (h *envChaos) BeforeRun(point, run, attempt int) error {
-	h.mu.Lock()
-	d, ok := h.cells[point*h.runs+run]
-	h.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	switch d.kind {
-	case "error":
-		return fmt.Errorf("chaos: injected permanent failure at (%d,%d)", point, run)
-	case "panic":
-		if attempt == 0 {
-			panic(fmt.Sprintf("chaos: injected panic at (%d,%d)", point, run))
-		}
-	case "transient":
-		if attempt == 0 {
-			return Transient(fmt.Errorf("chaos: injected transient failure at (%d,%d)", point, run))
-		}
-	case "stall":
-		if attempt == 0 {
-			time.Sleep(d.stall)
-		}
-	}
-	return nil
-}
 
 // backoff sleeps the bounded-exponential retry delay for the given
 // completed attempt count, returning early if ctx is done.

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -31,14 +32,14 @@ func TestSwarmWarmParallelEquivalence(t *testing.T) {
 	baseline := spec
 	baseline.ColdStart = true
 	baseline.Parallel = 2
-	want, err := Run(baseline)
+	want, _, _, err := Run(context.Background(), baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 3, 8} {
 		warm := spec
 		warm.Parallel = par
-		got, err := Run(warm)
+		got, _, _, err := Run(context.Background(), warm)
 		if err != nil {
 			t.Fatal(err)
 		}

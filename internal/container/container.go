@@ -118,8 +118,8 @@ type Container struct {
 	routes     []portRoute
 	hostRoutes []hostRoute
 
-	// Checkpoint state for Reset: the task list and cgroup process
-	// count as they stood when Checkpoint was called.
+	// The build-time bookkeeping recorded by Checkpoint and re-seated
+	// by RestoreCheckpoint: the task list and cgroup process count.
 	chkTasks []*sched.Task
 	chkPids  int
 	chkValid bool
@@ -347,7 +347,7 @@ func (c *Container) StopTask(t *sched.Task) {
 func (c *Container) Tasks() []*sched.Task { return c.tasks }
 
 // Checkpoint records the container's task list and cgroup process
-// count so Reset can rewind to them. Call it when scenario
+// count so RestoreCheckpoint can rewind to them. Call it when scenario
 // construction completes, while the container is Running.
 func (c *Container) Checkpoint() {
 	c.chkTasks = append(c.chkTasks[:0], c.tasks...)
@@ -355,18 +355,20 @@ func (c *Container) Checkpoint() {
 	c.chkValid = true
 }
 
-// Reset restores the checkpointed bookkeeping: mid-run task arrivals
-// (attack tasks) are forgotten, mid-run stops (a killed controller)
-// are reinstated, and the cgroup process count rewinds to match. The
-// scheduler's own Reset restores the tasks' scheduling state; Reset
-// here only re-aligns the container's view. The container must not
-// have been stopped or killed since the checkpoint.
-func (c *Container) Reset() {
+// RestoreCheckpoint re-seats the checkpointed bookkeeping: mid-run
+// task arrivals (attack tasks) are forgotten, mid-run stops (a killed
+// controller) are reinstated, and the cgroup process count rewinds to
+// match. It is the container's whole share of a System restore —
+// snapshots are only taken while AtCheckpoint holds — and only
+// re-aligns the container's view; the scheduler's RestoreFrom re-seats
+// the tasks themselves. The container must not have been stopped or
+// killed since the checkpoint.
+func (c *Container) RestoreCheckpoint() {
 	if !c.chkValid {
-		panic("container: Reset without Checkpoint")
+		panic("container: RestoreCheckpoint without Checkpoint")
 	}
 	if c.state != StateRunning {
-		panic(fmt.Sprintf("container: Reset from state %v", c.state))
+		panic(fmt.Sprintf("container: RestoreCheckpoint from state %v", c.state))
 	}
 	clear(c.tasks)
 	c.tasks = append(c.tasks[:0], c.chkTasks...)
@@ -377,7 +379,7 @@ func (c *Container) Reset() {
 	// limit: counts only shrank since the checkpoint.
 	for c.group.PIDs() < c.chkPids {
 		if err := c.group.Fork(); err != nil {
-			panic(fmt.Sprintf("container: Reset re-fork failed: %v", err))
+			panic(fmt.Sprintf("container: RestoreCheckpoint re-fork failed: %v", err))
 		}
 	}
 }
@@ -386,7 +388,8 @@ func (c *Container) Reset() {
 // and cgroup process count) still matches its Checkpoint — true at any
 // point of a run before attack or fault onset. The fork campaign's
 // snapshot relies on this: a container still at its checkpoint needs no
-// snapshot state of its own, because a Reset reproduces it exactly.
+// snapshot state of its own, because RestoreCheckpoint reproduces it
+// exactly.
 func (c *Container) AtCheckpoint() bool {
 	if !c.chkValid || len(c.tasks) != len(c.chkTasks) {
 		return false

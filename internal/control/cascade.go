@@ -113,21 +113,6 @@ func NewCascade(g Gains, af Airframe, rateHz float64) *Cascade {
 	return c
 }
 
-// Reset clears all regulator state (hand-off hygiene), including the
-// timestamp history and the published attitude setpoint, so a reset
-// controller is indistinguishable from a freshly built one.
-func (c *Cascade) Reset() {
-	c.velX.Reset()
-	c.velY.Reset()
-	c.velZ.Reset()
-	c.rateX.Reset()
-	c.rateY.Reset()
-	c.rateZ.Reset()
-	c.primed = false
-	c.lastUS = 0
-	c.lastRollSP, c.lastPitchSP, c.lastYawSP = 0, 0, 0
-}
-
 // dt derives the integration step from IMU timestamps, clamped so a
 // stalled stream cannot blow up the integrators.
 func (c *Cascade) dt(timeUS uint64) float64 {

@@ -181,23 +181,6 @@ func TestManualMode(t *testing.T) {
 	}
 }
 
-func TestCascadeResetClearsState(t *testing.T) {
-	c := NewCascade(ComplexGains(), defaultAirframe(), 250)
-	in := Inputs{
-		IMU: sensors.IMUReading{TimeUS: 1000, Quat: physics.IdentityQuat()},
-		GPS: sensors.GPSReading{Pos: physics.Vec3{X: 5}},
-		RC:  sensors.RCReading{Mode: sensors.ModePosition},
-	}
-	c.Compute(&in, Setpoint{})
-	c.Reset()
-	if c.velX.Integrator() != 0 {
-		t.Fatal("velocity integrator survived reset")
-	}
-	if c.primed {
-		t.Fatal("timestamp primer survived reset")
-	}
-}
-
 func TestDTClampsOnStall(t *testing.T) {
 	c := NewCascade(ComplexGains(), defaultAirframe(), 250)
 	if got := c.dt(1000); got != 1.0/250 {

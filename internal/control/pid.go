@@ -54,15 +54,6 @@ func (p *PID) output(err, deriv float64) float64 {
 	return out
 }
 
-// Reset clears the regulator state (integrator and derivative
-// history) — called on controller hand-off so the safety controller
-// starts clean.
-func (p *PID) Reset() {
-	p.integ = 0
-	p.prevErr = 0
-	p.primed = false
-}
-
 // Integrator exposes the integrator state for telemetry and tests.
 func (p *PID) Integrator() float64 { return p.integ }
 
@@ -94,9 +85,6 @@ func (f *LowPass) Update(in float64) float64 {
 
 // Value returns the current filter state.
 func (f *LowPass) Value() float64 { return f.state }
-
-// Reset clears the filter.
-func (f *LowPass) Reset() { f.state = 0; f.primed = false }
 
 func clamp(x, limit float64) float64 {
 	if limit <= 0 {

@@ -47,8 +47,8 @@ func TestEngineStepZeroAllocsMemDoS(t *testing.T) {
 }
 
 // warmRunAllocs measures allocations of one complete steady-state
-// campaign run — Reset, full flight, Result extraction — after the
-// warm-up run has populated every pool and scratch buffer.
+// campaign run — tick-0 restore, full flight, Result extraction — after
+// the warm-up run has populated every pool and scratch buffer.
 func warmRunAllocs(t *testing.T, cfg Config) float64 {
 	t.Helper()
 	cfg.Duration = 2 * time.Second
@@ -56,9 +56,10 @@ func warmRunAllocs(t *testing.T, cfg Config) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := sys.Snapshot()
 	var res Result
 	run := func() {
-		sys.Reset(7)
+		sys.RestoreFrom(7, base)
 		if err := sys.RunContextInto(context.Background(), &res); err != nil {
 			t.Fatal(err)
 		}

@@ -70,13 +70,15 @@ type memberSnap struct {
 	windRNG   sim.RNG
 }
 
-// Snapshot is a deep mid-run capture of a System: everything a run's
-// future depends on — the engine clock and schedule position, the
-// shared network fabric (queued and in-flight packets, token buckets),
-// the trace, the fleet coordinator, and per member every task's
-// scheduling state, the vehicle, both estimators, both controllers,
-// the mission, the monitor, the flight log, the memory system, and
-// all RNG stream states.
+// Snapshot is a deep capture of a System between ticks: at tick 0
+// right after New (the warm pool's rewind point) or mid-run (a fork
+// point). It holds everything a run's future depends on — the engine
+// clock and schedule position, the shared network fabric (queued and
+// in-flight packets, token buckets, link parameters), the trace, the
+// fleet coordinator, and per member every task's scheduling state, the
+// vehicle, both estimators, both controllers, the mission, the
+// monitor, the flight log, the memory system, and all RNG stream
+// states.
 //
 // Ownership contract: a Snapshot shares no memory with the System it
 // was taken from or any System it is restored onto. The source may
@@ -137,9 +139,9 @@ func (s *System) Snapshotable() error {
 	return nil
 }
 
-// SnapshotInto captures the System's full mid-run state into snap,
-// reusing snap's buffers. It must be called between engine ticks
-// (after RunToTickContext returns) and panics if the System is not
+// SnapshotInto captures the System's full state into snap, reusing
+// snap's buffers. It must be called between engine ticks (right after
+// New, or after RunToTickContext returns) and panics if the System is not
 // Snapshotable — probe that first when falling back is an option.
 //
 // Two injectors keep pre-onset state outside the System's view and are
@@ -233,41 +235,74 @@ func (s *System) Snapshot() *Snapshot {
 }
 
 // RestoreFrom rewinds the System onto a captured state under the given
-// seed, reusing the System's allocations: first a full Reset (which
-// re-aligns every member's container bookkeeping, the engine schedule,
-// and every per-run cache to the build checkpoint), then the
-// snapshot's state is overlaid subsystem by subsystem and the engine
-// is sought to the capture tick. A restored System resumed with
+// seed, reusing the System's allocations. It is the only rewind: every
+// subsystem overlays the snapshot's state and re-seats its build-time
+// structure (task sets, container bookkeeping, the engine's one-shot
+// schedule), and the engine is sought to the capture tick.
+//
+// A snapshot taken at tick 0, right after New, is a warm-pool rewind:
+// the build-time state depends on the seed only through the RNG tree,
+// so the tree is re-derived from seed exactly as New derives it, and
+// the restored System runs byte-identically to a cold New at that seed
+// (TestResetEquivalence). A mid-run snapshot restores its captured RNG
+// stream positions instead, and a restored System resumed with
 // ResumeContextInto runs byte-identically to a cold run of its own
 // Config at that seed, provided the Configs agree on everything that
-// acts before the capture tick (TestForkEquivalence pins this for
-// every registry scenario).
+// acts before the capture tick (TestForkEquivalence).
 //
 // The System must be built from the same scenario shape as the capture
 // source; structural mismatches (fleet size, task sets, endpoints,
 // wind or mission presence) panic. The Snapshot is read-only here and
-// remains valid for further restores.
+// remains valid for further restores. Results produced before the
+// restore share buffers (flight logs, trace, violations) with the
+// System: consume or serialize them first.
 func (s *System) RestoreFrom(seed uint64, snap *Snapshot) {
 	if len(snap.members) != len(s.drones) {
 		panic(fmt.Sprintf("core: RestoreFrom across fleet sizes (%d members captured, %d built); source and target must share a scenario",
 			len(snap.members), len(s.drones)))
 	}
-	s.Reset(seed)
+	s.Cfg.Seed = seed
 
 	s.Engine.Seek(&snap.engine)
 	s.Net.RestoreFrom(&snap.net)
 	s.Trace.RestoreFrom(&snap.trace)
-	*s.netRNG = snap.netRNG
 	s.leaderSP = snap.leaderSP
 	s.fleetSeq = snap.fleetSeq
+	// Snapshotable guarantees no jitter window was open at capture.
+	clear(s.jitterStack)
+	s.jitterStack = s.jitterStack[:0]
 
 	for i, d := range s.drones {
 		d.restoreFrom(&snap.members[i])
+	}
+
+	if snap.Tick() == 0 {
+		// Re-derive the RNG tree exactly as New does: one root
+		// generator, the fabric stream first, then each member's
+		// streams (sensors, wind) in member order.
+		var rng sim.RNG
+		rng.Reseed(seed)
+		rng.SplitInto(s.netRNG)
+		for _, d := range s.drones {
+			rng.SplitInto(d.sensorRNG)
+			if d.windRNG != nil {
+				rng.SplitInto(d.windRNG)
+			}
+		}
+		return
+	}
+	*s.netRNG = snap.netRNG
+	for i, d := range s.drones {
+		*d.sensorRNG = snap.members[i].sensorRNG
+		if d.windRNG != nil {
+			*d.windRNG = snap.members[i].windRNG
+		}
 	}
 }
 
 func (d *Drone) restoreFrom(ms *memberSnap) {
 	d.CPU.RestoreFrom(&ms.cpu)
+	d.CCE.RestoreCheckpoint()
 	d.Bus.RestoreFrom(&ms.bus)
 	d.Guard.RestoreFrom(&ms.guard)
 	d.Runtime.NAT().RestoreFrom(&ms.nat)
@@ -310,6 +345,13 @@ func (d *Drone) restoreFrom(ms *memberSnap) {
 	d.seqOut = ms.seqOut
 	d.garbage = ms.garbage
 
+	// Snapshotable guarantees no flood was live and no fault window
+	// open at capture.
+	d.flood = nil
+	d.splitDepth, d.baroDropDepth, d.gyroBiasDepth, d.gpsSpoofDepth, d.fleetSplitDepth = 0, 0, 0, 0, 0
+
+	clear(d.replayFrames)
+	d.replayFrames = d.replayFrames[:0]
 	for _, f := range ms.replayFrames {
 		d.replayFrames = append(d.replayFrames, append([]byte(nil), f...))
 	}
@@ -319,9 +361,4 @@ func (d *Drone) restoreFrom(ms *memberSnap) {
 	d.gpsStream.Packets = ms.streamPackets[2]
 	d.rcStream.Packets = ms.streamPackets[3]
 	d.motorStream.Packets = ms.streamPackets[4]
-
-	*d.sensorRNG = ms.sensorRNG
-	if d.windRNG != nil {
-		*d.windRNG = ms.windRNG
-	}
 }

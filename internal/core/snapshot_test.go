@@ -113,7 +113,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm.Reset(0xDECAF)
+			warm.RestoreFrom(0xDECAF, warm.Snapshot())
 			warm.Run()
 			warm.RestoreFrom(seed, snap)
 			var forkRes Result

@@ -74,6 +74,10 @@ type Hooks struct {
 // core.New(cfg).Run() calls on separate Systems are therefore safe;
 // the campaign runner's worker pool relies on this, and the campaign
 // tests enforce it under the race detector.
+//
+// RestoreFrom is the only way a System rewinds. A warm-pool run
+// restores a Snapshot captured at tick 0 right after New; a fork
+// restores one captured mid-run.
 type System struct {
 	Cfg    Config
 	Engine *sim.Engine
@@ -102,8 +106,8 @@ type System struct {
 	baseLink    netsim.LinkParams
 
 	// netRNG drives the shared fabric; per-member streams live on the
-	// drones. Held so Reset(seed) can re-derive the whole tree in the
-	// exact Split order New used.
+	// drones. Held so a tick-0 restore can re-derive the whole tree
+	// under a new seed in the exact Split order New used.
 	netRNG *sim.RNG
 
 	// Fleet coordinator state (wired only when the fleet has >1
@@ -118,11 +122,6 @@ type System struct {
 	// violScratch backs the aggregated top-level Violations slice of
 	// swarm results, reused across warm-pool runs.
 	violScratch []monitor.Violation
-
-	// chkLink is the bridge's link parameters at checkpoint time,
-	// restored on Reset (a persistent jitter fault may leave the link
-	// degraded at run end).
-	chkLink netsim.LinkParams
 }
 
 // Members returns the fleet, leader first. The slice is owned by the
@@ -196,62 +195,16 @@ func New(cfg Config) (*System, error) {
 		})
 	}
 
-	// Checkpoint the fully wired scenario so Reset can rewind to this
-	// exact state: the engine's one-shot schedule (attack launches,
-	// fault windows, monitor arming), every scheduler's task set, the
-	// containers' bookkeeping, and the healthy link parameters.
+	// Record the build-time structure every restore re-seats: the
+	// engine's one-shot schedule (attack launches, fault windows,
+	// monitor arming), every scheduler's task set, and the containers'
+	// bookkeeping.
 	s.Engine.Checkpoint()
 	for _, d := range s.drones {
 		d.CPU.Checkpoint()
 		d.CCE.Checkpoint()
 	}
-	s.chkLink = s.Net.Link()
 	return s, nil
-}
-
-// Reset rewinds the System to its just-built state under a new seed,
-// reusing every allocation: rings, schedules, logs, task sets, and
-// fault/attack plans are rewound in place rather than rebuilt. A reset
-// System runs byte-identically to a cold core.New with the same Config
-// and seed (TestResetEquivalence pins this for every registry
-// scenario); at steady state Reset itself does not allocate.
-//
-// Results produced before the Reset share buffers (flight logs, trace,
-// violations) with the System: consume or serialize them first.
-//
-// Reset must not be called mid-run — only after a completed (or
-// context-canceled and abandoned) run.
-func (s *System) Reset(seed uint64) {
-	s.Cfg.Seed = seed
-
-	// Shared substrates: engine schedule and the fabric.
-	s.Engine.Reset()
-	s.Net.Reset()
-	s.Net.SetLink(s.chkLink)
-
-	// Re-derive the RNG tree exactly as New does: one root generator,
-	// the fabric stream first, then each member's streams (sensors,
-	// wind) in member order.
-	var rng sim.RNG
-	rng.Reseed(seed)
-	rng.SplitInto(s.netRNG)
-	for _, d := range s.drones {
-		rng.SplitInto(d.sensorRNG)
-		if d.windRNG != nil {
-			rng.SplitInto(d.windRNG)
-		}
-	}
-
-	for _, d := range s.drones {
-		d.reset()
-	}
-
-	s.Trace.Reset()
-	clear(s.jitterStack)
-	s.jitterStack = s.jitterStack[:0]
-
-	s.leaderSP = s.Cfg.Setpoint
-	s.fleetSeq = 0
 }
 
 // nowUS converts engine time to the microsecond timestamps sensors use.

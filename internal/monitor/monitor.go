@@ -120,25 +120,6 @@ func New(rules Rules) *Monitor {
 // Rules returns the configured thresholds.
 func (m *Monitor) Rules() Rules { return m.rules }
 
-// Reset disarms the monitor and rewinds it to the complex-output
-// state: violation history, receive timing, and envelope persistence
-// all clear. Thresholds, envelope rules, and callbacks survive. The
-// violations backing array is reused, so a reset monitor records its
-// next run without allocating.
-func (m *Monitor) Reset() {
-	m.output = OutputComplex
-	m.armed = false
-	m.lastRecv = 0
-	m.haveRecv = false
-	m.attBadSince = 0
-	m.attBad = false
-	m.violations = m.violations[:0]
-	m.switchedAt = 0
-	m.switchReason = ""
-	m.geoState = envelopeState{}
-	m.desState = envelopeState{}
-}
-
 // State is a snapshot of the monitor's dynamic state: output
 // selection, arming, receive timing, rule persistence, and the
 // violation history (deep-copied). Thresholds, envelope rules, and

@@ -76,14 +76,6 @@ func (n *NATTable) Translations(hostPort int) int64 {
 	return 0
 }
 
-// ResetCounters zeroes the conntrack statistics in place. The boxed
-// counters survive, so cached send paths keep their pointers.
-func (n *NATTable) ResetCounters() {
-	for _, ct := range n.translations {
-		*ct = 0
-	}
-}
-
 // Translate applies the DNAT rules to a datagram from src to dst and
 // returns the effective destination. Rules apply when dst is the host
 // address and a rule exists for the port; traffic from the container

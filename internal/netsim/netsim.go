@@ -191,12 +191,6 @@ func (b *TokenBucket) Allow(now time.Duration) bool {
 // Tokens reports the current token count (for tests and telemetry).
 func (b *TokenBucket) Tokens() float64 { return b.tokens }
 
-// Reset refills the bucket to its initial full state at time zero.
-func (b *TokenBucket) Reset() {
-	b.tokens = b.burst
-	b.last = 0
-}
-
 // NormSource supplies standard normal samples for jitter; UniformSource
 // supplies uniform [0,1) samples for loss.
 type (
@@ -467,40 +461,3 @@ func (n *Network) Step(now time.Duration) {
 
 // InFlight reports packets not yet delivered.
 func (n *Network) InFlight() int { return len(n.inflight) }
-
-// reset rewinds one endpoint to its just-bound state: queued and lent
-// payloads go back to the pool, the ring indices and statistics clear.
-// Ring capacity and scratch storage are kept.
-func (e *Endpoint) reset() {
-	e.recycle()
-	for e.count > 0 {
-		p := e.pop()
-		e.net.putBuf(p.Payload)
-	}
-	e.head = 0
-	e.stats = Stats{}
-	e.drain = e.drain[:0]
-}
-
-// Reset rewinds the fabric to its just-built topology: in-flight and
-// queued packets return to the pool, endpoint statistics and token
-// buckets clear, partitions heal, and the clock rewinds — while every
-// endpoint, limit, route cache, and pooled buffer survives for the
-// next run. Link parameters are left as-is; a caller that changed them
-// mid-run (the jitter fault) restores its own baseline. Reset does not
-// allocate.
-func (n *Network) Reset() {
-	for i := range n.inflight {
-		n.putBuf(n.inflight[i].pkt.Payload)
-		n.inflight[i] = flight{}
-	}
-	n.inflight = n.inflight[:0]
-	for _, ep := range n.endpoints {
-		ep.reset()
-	}
-	for _, tb := range n.limits {
-		tb.Reset()
-	}
-	clear(n.partitions)
-	n.now = 0
-}

@@ -115,7 +115,22 @@ func (n *Network) SnapshotInto(st *NetworkState) {
 // and in-flight payloads are re-materialized from the pool, so the
 // state remains valid for further restores.
 func (n *Network) RestoreFrom(st *NetworkState) {
-	n.Reset()
+	if len(st.endpoints) != len(n.endpoints) || len(st.limits) != len(n.limits) {
+		panic("netsim: RestoreFrom with mismatched topology; source and target must share a scenario")
+	}
+	// Every in-flight, queued and lent payload goes back to the pool
+	// before the captured traffic is re-materialized from it.
+	for i := range n.inflight {
+		n.putBuf(n.inflight[i].pkt.Payload)
+		n.inflight[i] = flight{}
+	}
+	n.inflight = n.inflight[:0]
+	for _, ep := range n.endpoints {
+		ep.recycle()
+		for ep.count > 0 {
+			n.putBuf(ep.pop().Payload)
+		}
+	}
 	n.now = st.now
 	n.link = st.link
 
@@ -147,6 +162,7 @@ func (n *Network) RestoreFrom(st *NetworkState) {
 		tb.last = bs.last
 	}
 
+	clear(n.partitions)
 	for _, pair := range st.partitions {
 		if n.partitions == nil {
 			n.partitions = make(map[hostPair]bool)
@@ -192,10 +208,11 @@ func (n *NATTable) SnapshotInto(st *NATState) {
 
 // RestoreFrom rewinds the conntrack counters to a captured state. The
 // boxed counters are written in place, so cached send paths keep their
-// pointers. Counters absent from the state (none, for same-topology
-// restores) are zeroed.
+// pointers. The table must carry the capture source's counter set.
 func (n *NATTable) RestoreFrom(st *NATState) {
-	n.ResetCounters()
+	if len(st.counts) != len(n.translations) {
+		panic("netsim: NAT RestoreFrom onto a table with a different counter set")
+	}
 	for _, c := range st.counts {
 		ct := n.translations[c.port]
 		if ct == nil {

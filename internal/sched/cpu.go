@@ -48,11 +48,11 @@ type CPU struct {
 	activeCount int
 	dirtyCount  int
 
-	// snapshot is the task set recorded by Checkpoint, restored by
-	// Reset — the warm-pool campaign's way of undoing mid-run task
+	// base is the build-time task set recorded by Checkpoint, which
+	// RestoreFrom re-seats — the rewind's way of undoing mid-run task
 	// arrivals (attack tasks, fault spinners) and removals (the killed
 	// receiver thread).
-	snapshot []*Task
+	base []*Task
 }
 
 // NewCPU builds a scheduler for the given core count and tick. The
@@ -328,54 +328,11 @@ func (c *CPU) Tick(now time.Duration) {
 // Running returns the task currently occupying a core, or nil.
 func (c *CPU) Running(core int) *Task { return c.running[core] }
 
-// Checkpoint records the current task set so Reset can restore it.
-// Call it once when scenario construction completes, before the first
-// Tick.
+// Checkpoint records the current task set as the base RestoreFrom
+// re-seats. Call it once when scenario construction completes, before
+// the first Tick.
 func (c *CPU) Checkpoint() {
-	c.snapshot = append(c.snapshot[:0], c.tasks...)
-}
-
-// Reset rewinds the scheduler to its Checkpoint: the recorded task set
-// (mid-run arrivals dropped, mid-run removals restored), every task's
-// scheduling state and statistics cleared to a zero-phase start, and
-// all idle accounting zeroed. Reset does not allocate at steady state:
-// the per-core slices are truncated and refilled in place.
-func (c *CPU) Reset() {
-	if c.snapshot == nil {
-		panic("sched: Reset without Checkpoint")
-	}
-	clear(c.tasks)
-	c.tasks = append(c.tasks[:0], c.snapshot...)
-	for core := range c.byCore {
-		clear(c.byCore[core])
-		c.byCore[core] = c.byCore[core][:0]
-	}
-	clear(c.busy)
-	c.busy = c.busy[:0]
-	clear(c.periodic)
-	c.periodic = c.periodic[:0]
-	c.nextDue = neverDue
-	for i, t := range c.tasks {
-		t.resetSched(i)
-		c.byCore[t.Core] = append(c.byCore[t.Core], t)
-		if t.Busy() {
-			c.busy = append(c.busy, t)
-		} else {
-			c.periodic = append(c.periodic, t)
-			c.nextDue = 0 // zero-phase: every periodic task releases at t=0
-		}
-	}
-	c.activeCount = 0
-	c.dirtyCount = 0
-	for i := range c.dirty {
-		c.dirty[i] = true
-		c.dirtyCount++
-		c.idle[i] = 0
-		c.busyT[i] = 0
-		c.running[i] = nil
-		c.demand[i] = 0
-	}
-	c.now = 0
+	c.base = append(c.base[:0], c.tasks...)
 }
 
 // String summarizes scheduler state.

@@ -39,11 +39,11 @@ type taskState struct {
 // the Checkpoint, positionally — the non-panicking form of the
 // SnapshotInto precondition.
 func (c *CPU) TaskSetAtCheckpoint() bool {
-	if c.snapshot == nil || len(c.tasks) != len(c.snapshot) {
+	if c.base == nil || len(c.tasks) != len(c.base) {
 		return false
 	}
 	for i, t := range c.tasks {
-		if t != c.snapshot[i] {
+		if t != c.base[i] {
 			return false
 		}
 	}
@@ -55,7 +55,7 @@ func (c *CPU) TaskSetAtCheckpoint() bool {
 // such a scheduler cannot be restored positionally onto a warm
 // sibling.
 func (c *CPU) SnapshotInto(st *CPUState) {
-	if c.snapshot == nil {
+	if c.base == nil {
 		panic("sched: SnapshotInto without Checkpoint")
 	}
 	if !c.TaskSetAtCheckpoint() {
@@ -78,16 +78,30 @@ func (c *CPU) SnapshotInto(st *CPUState) {
 	}
 }
 
-// RestoreFrom rewinds the scheduler to a captured state: Reset back to
-// the checkpointed task set, then overlay each task's captured job
-// state positionally onto this scheduler's own Task objects. The
-// scheduler must be built from the same scenario as the capture source
-// (same task registration order).
+// RestoreFrom rewinds the scheduler to a captured state: the
+// checkpointed task set is re-seated (mid-run arrivals dropped, mid-run
+// removals reinstated) and each task's captured job state is overlaid
+// positionally onto this scheduler's own Task objects. The scheduler
+// must be built from the same scenario as the capture source (same
+// task registration order). RestoreFrom does not allocate at steady
+// state: the per-core slices are truncated and refilled in place.
 func (c *CPU) RestoreFrom(st *CPUState) {
-	c.Reset()
-	if len(c.tasks) != len(st.tasks) {
+	if c.base == nil {
+		panic("sched: RestoreFrom without Checkpoint")
+	}
+	if len(c.base) != len(st.tasks) {
 		panic("sched: RestoreFrom with mismatched task set; source and target must share a scenario")
 	}
+	clear(c.tasks)
+	c.tasks = append(c.tasks[:0], c.base...)
+	for core := range c.byCore {
+		clear(c.byCore[core])
+		c.byCore[core] = c.byCore[core][:0]
+	}
+	clear(c.busy)
+	c.busy = c.busy[:0]
+	clear(c.periodic)
+	c.periodic = c.periodic[:0]
 	c.activeCount = 0
 	for i, t := range c.tasks {
 		ts := &st.tasks[i]
@@ -100,11 +114,24 @@ func (c *CPU) RestoreFrom(st *CPUState) {
 		if t.active {
 			c.activeCount++
 		}
+		c.byCore[t.Core] = append(c.byCore[t.Core], t)
+		if t.Busy() {
+			c.busy = append(c.busy, t)
+		} else {
+			c.periodic = append(c.periodic, t)
+		}
 	}
 	copy(c.idle, st.idle)
 	copy(c.busyT, st.busyT)
 	c.nextDue = st.nextDue
 	c.now = st.now
-	// Reset left every core dirty with no incumbent: the next Tick
-	// re-picks each winner from the restored ready set.
+	// No incumbents: every core is dirty, so the next Tick re-picks
+	// each winner from the restored ready set.
+	c.dirtyCount = 0
+	for i := range c.dirty {
+		c.dirty[i] = true
+		c.dirtyCount++
+		c.running[i] = nil
+		c.demand[i] = 0
+	}
 }

@@ -148,15 +148,6 @@ func NewSuite(noise Noise, norm NormSource) *Suite {
 // time-varying faults (GPS spoof drift), from their Step cadence.
 func (s *Suite) SetFaults(f Faults) { s.faults = f }
 
-// Reset heals the suite and forgets the barometer history, returning
-// it to its just-built state (the noise source is external and is
-// reseeded by the caller).
-func (s *Suite) Reset() {
-	s.faults = Faults{}
-	s.lastBaro = BaroReading{}
-	s.haveBaro = false
-}
-
 // Faults returns the current fault state.
 func (s *Suite) Faults() Faults { return s.faults }
 

@@ -111,11 +111,12 @@ type Engine struct {
 	seq       int64
 	stopped   bool
 
-	// Checkpoint state for Reset: the one-shot schedule and per-proc
-	// enabled flags as they stood when Checkpoint was called.
+	// The build-time one-shot schedule recorded by Checkpoint, which
+	// Seek re-arms: one-shots are consumed as they fire, so the pending
+	// set at any tick is this schedule filtered to ticks not yet
+	// reached.
 	chkOneShots oneShotHeap
 	chkSeq      int64
-	chkEnabled  []bool
 	chkValid    bool
 }
 
@@ -272,14 +273,14 @@ func (e *Engine) Step() {
 	e.clock.Advance()
 }
 
-// Checkpoint records the engine's schedule — the pending one-shot
-// callbacks and every process's enabled flag — so Reset can rewind to
-// it. Call it once at the end of scenario construction, after every
-// Register/At of the build phase; the clock must still be at zero.
+// Checkpoint records the engine's one-shot schedule so Seek can
+// re-arm it. Call it once at the end of scenario construction, after
+// every Register/At of the build phase; the clock must still be at
+// zero.
 //
 // Checkpoint is what makes an Engine reusable across campaign runs:
 // one-shots are consumed as they fire, so without a recorded schedule
-// a second run would fly with no attack, no faults, and no monitor
+// a rewound run would fly with no attack, no faults, and no monitor
 // arming.
 func (e *Engine) Checkpoint() {
 	if e.clock.Ticks() != 0 {
@@ -287,13 +288,6 @@ func (e *Engine) Checkpoint() {
 	}
 	e.chkOneShots = append(e.chkOneShots[:0], e.oneShots...)
 	e.chkSeq = e.seq
-	if e.chkEnabled == nil {
-		e.chkEnabled = make([]bool, 0, len(e.procs))
-	}
-	e.chkEnabled = e.chkEnabled[:0]
-	for _, ent := range e.procs {
-		e.chkEnabled = append(e.chkEnabled, ent.enabled)
-	}
 	e.chkValid = true
 }
 
@@ -397,16 +391,17 @@ func (e *Engine) Seek(st *EngineState) {
 	// Re-phase every process: after stepping ticks [0, T), the next fire
 	// of a period-p process is the smallest multiple of p that is >= T
 	// (phase advances even while disabled, so this holds for disabled
-	// processes too).
+	// processes too). Pushing in registration order rebuilds the heap
+	// exactly as Register built it, so a tick-0 seek leaves the engine
+	// identical to a fresh build.
 	e.slow = e.slow[:0]
 	for i, ent := range e.procs {
 		ent.enabled = st.enabled[i]
 		ent.next = ((st.tick + ent.period - 1) / ent.period) * ent.period
 		if ent.period > 1 {
-			e.slow = append(e.slow, ent)
+			heap.Push(&e.slow, ent)
 		}
 	}
-	heap.Init(&e.slow)
 	e.due = e.due[:0]
 }
 
@@ -428,37 +423,6 @@ func (e *Engine) RunToTickContext(ctx context.Context, end int64) error {
 		e.Step()
 	}
 	return nil
-}
-
-// Reset rewinds the engine to its Checkpoint: time zero, the recorded
-// one-shot schedule, every process re-phased to its zero-phase next
-// fire and restored to its checkpointed enabled state. Registered
-// processes are kept — their closures are expected to read per-run
-// state that the caller resets separately. Reset never allocates at
-// steady state (the restored heaps reuse the engine's buffers).
-func (e *Engine) Reset() {
-	if !e.chkValid {
-		panic("sim: Reset without Checkpoint")
-	}
-	e.clock = Clock{}
-	e.stopped = false
-	// Restore the one-shot schedule. The checkpoint copy is itself a
-	// valid heap (heap order is preserved by append-copy), so no re-init
-	// is needed.
-	e.oneShots = append(e.oneShots[:0], e.chkOneShots...)
-	e.seq = e.chkSeq
-	// Re-phase every process: at tick zero the zero-phase next fire is
-	// tick zero for every period.
-	e.slow = e.slow[:0]
-	for i, ent := range e.procs {
-		ent.enabled = e.chkEnabled[i]
-		ent.next = 0
-		if ent.period > 1 {
-			e.slow = append(e.slow, ent)
-		}
-	}
-	heap.Init(&e.slow)
-	e.due = e.due[:0]
 }
 
 // Run advances the simulation for the given duration or until Stop.

@@ -182,11 +182,11 @@ func TestEngineTwoRatesAlign(t *testing.T) {
 	}
 }
 
-// TestEngineCheckpointReset pins the rewind contract the warm-pool
+// TestEngineSeekToCheckpoint pins the rewind contract the warm-pool
 // campaign rests on: after Checkpoint, any number of runs followed by
-// Reset replays the identical schedule — periodic phases, one-shot
-// firings, and enabled flags all restored.
-func TestEngineCheckpointReset(t *testing.T) {
+// a Seek to the tick-0 state replays the identical schedule — periodic
+// phases, one-shot firings, and enabled flags all restored.
+func TestEngineSeekToCheckpoint(t *testing.T) {
 	e := NewEngine()
 	var log []string
 	record := func(name string) ProcFunc {
@@ -202,6 +202,8 @@ func TestEngineCheckpointReset(t *testing.T) {
 		h.SetEnabled(true)
 	})
 	e.Checkpoint()
+	var zero EngineState
+	e.StateInto(&zero)
 
 	run := func() []string {
 		log = nil
@@ -212,24 +214,24 @@ func TestEngineCheckpointReset(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("no events recorded")
 	}
-	e.Reset()
+	e.Seek(&zero)
 	second := run()
 	if fmt.Sprint(first) != fmt.Sprint(second) {
-		t.Fatalf("replay after Reset diverged:\n first: %v\n second: %v", first, second)
+		t.Fatalf("replay after Seek diverged:\n first: %v\n second: %v", first, second)
 	}
-	// A third cycle catches state that survives exactly one reset.
-	e.Reset()
+	// A third cycle catches state that survives exactly one rewind.
+	e.Seek(&zero)
 	if third := run(); fmt.Sprint(first) != fmt.Sprint(third) {
-		t.Fatalf("second Reset diverged:\n first: %v\n third: %v", first, third)
+		t.Fatalf("second Seek diverged:\n first: %v\n third: %v", first, third)
 	}
 }
 
-// TestEngineResetWithoutCheckpointPanics pins the misuse guard.
-func TestEngineResetWithoutCheckpointPanics(t *testing.T) {
+// TestEngineSeekWithoutCheckpointPanics pins the misuse guard.
+func TestEngineSeekWithoutCheckpointPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Reset without Checkpoint did not panic")
+			t.Fatal("Seek without Checkpoint did not panic")
 		}
 	}()
-	NewEngine().Reset()
+	NewEngine().Seek(&EngineState{})
 }

@@ -1,9 +1,9 @@
 package containerdrone
 
 // White-box reset-equivalence suite: the warm-pool campaign engine
-// reuses one core.System across runs via Reset(seed), so the whole
-// optimization is sound only if a reset-reused engine is
-// indistinguishable from a cold build. This test pins that for every
+// reuses one core.System across runs by restoring a Snapshot captured
+// at tick 0 under each run's seed, so the whole optimization is sound
+// only if a rewound engine is indistinguishable from a cold build. This test pins that for every
 // registered scenario — including all fault scenarios — at the byte
 // level of the full serialized public Result (every telemetry sample,
 // violation, stream counter, and task report). It runs under the race
@@ -22,7 +22,7 @@ import (
 // 18 s): the states Reset exists to undo — armed flood tasks, open
 // jitter stacks, killed receivers, captured replay frames, decayed
 // rotors — only come into being once those events fire, so a shorter
-// flight would certify a Reset that never rewound anything. Seconds
+// flight would certify a rewind that never rewound anything. Seconds
 // of simulated flight cost ≈2 ms of wall clock each.
 const resetEquivDuration = 20 * time.Second
 
@@ -53,7 +53,7 @@ func TestResetEquivalence(t *testing.T) {
 	const (
 		seed = 7
 		// decoySeed drives the warm engine's first flight: a different
-		// stochastic history whose every trace the Reset must erase.
+		// stochastic history whose every trace the rewind must erase.
 		decoySeed = 0xDECAF
 	)
 	for _, sc := range scenarios {
@@ -65,13 +65,14 @@ func TestResetEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			base := warm.sys.Snapshot()
 			if _, err := warm.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			// White-box rewind: reset the underlying System to the
-			// target seed and run the same Sim again, exactly as a
-			// campaign worker does between runs.
-			warm.sys.Reset(seed)
+			// White-box rewind: restore the underlying System's tick-0
+			// snapshot under the target seed and run the same Sim
+			// again, exactly as a campaign worker does between runs.
+			warm.sys.RestoreFrom(seed, base)
 			warm.cfg.Seed = seed
 			warm.ran = false
 			res, err := warm.Run(context.Background())
@@ -88,7 +89,7 @@ func TestResetEquivalence(t *testing.T) {
 					i++
 				}
 				lo, hi := max(0, i-80), i+80
-				t.Errorf("reset-reused run differs from cold build at byte %d:\n cold: …%s…\n warm: …%s…",
+				t.Errorf("rewound run differs from cold build at byte %d:\n cold: …%s…\n warm: …%s…",
 					i, clipBytes(want, lo, hi), clipBytes(got, lo, hi))
 			}
 		})
@@ -105,9 +106,9 @@ func clipBytes(b []byte, lo, hi int) []byte {
 	return b[lo:hi]
 }
 
-// TestResetEquivalenceRepeated drives several reset cycles through one
+// TestResetEquivalenceRepeated drives several rewind cycles through one
 // engine, alternating seeds, to catch state that survives exactly one
-// reset (a cleared-on-first-use cache, a once-armed one-shot).
+// rewind (a cleared-on-first-use cache, a once-armed one-shot).
 func TestResetEquivalenceRepeated(t *testing.T) {
 	t.Parallel()
 	const scenario = "udpflood" // attack + violation + task-kill path
@@ -118,6 +119,7 @@ func TestResetEquivalenceRepeated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := warm.sys.Snapshot()
 	if _, err := warm.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestResetEquivalenceRepeated(t *testing.T) {
 		seed uint64
 		want []byte
 	}{{3, wantA}, {4, wantB}, {3, wantA}, {4, wantB}} {
-		warm.sys.Reset(step.seed)
+		warm.sys.RestoreFrom(step.seed, base)
 		warm.cfg.Seed = step.seed
 		warm.ran = false
 		res, err := warm.Run(context.Background())

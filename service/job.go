@@ -106,38 +106,57 @@ func (j *job) reset() {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state and releases waiters.
-// A job that is already terminal stays as it is: settlement races
-// (a cancel landing while the supervisor fails a panicked job) must
-// not double-close done or rewrite the verdict.
-func (j *job) finish(res *containerdrone.CampaignResult, runErr error, canceled bool) {
-	j.mu.Lock()
-	if j.terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.finished = time.Now()
-	j.result = res
+// verdict decides the terminal status of an attempt that returned res
+// and runErr, without publishing anything.
+func verdict(res *containerdrone.CampaignResult, runErr error, canceled bool) (status, msg string, partial bool) {
 	switch {
 	case runErr == nil:
-		j.status = StatusDone
+		return StatusDone, "", false
 	case canceled:
-		j.status = StatusCanceled
-		j.err = runErr.Error()
-		j.partial = true
+		return StatusCanceled, runErr.Error(), true
 	case res != nil:
 		// A campaign that returned records but also an error was cut
 		// short (deadline); the result is usable but partial.
-		j.status = StatusDone
-		j.err = runErr.Error()
-		j.partial = true
+		return StatusDone, runErr.Error(), true
 	default:
-		j.status = StatusFailed
-		j.err = runErr.Error()
+		return StatusFailed, runErr.Error(), false
 	}
+}
+
+// publish moves the job to its terminal state and releases waiters.
+// It is the last step of Server.settle: everything else an observer
+// can read about the settled job is already written.
+func (j *job) publish(res *containerdrone.CampaignResult, status, msg string, partial bool) {
+	j.mu.Lock()
+	j.finished = time.Now()
+	j.result = res
+	j.status = status
+	j.err = msg
+	j.partial = partial
 	j.signal()
 	close(j.done)
 	j.mu.Unlock()
+}
+
+// runCounts tallies the job's clean and failed run records.
+func (j *job) runCounts() (ok, failed int64) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, rec := range j.records {
+		if rec.Err == "" {
+			ok++
+		} else {
+			failed++
+		}
+	}
+	return ok, failed
+}
+
+// settled is terminal for callers that do not hold j.mu.
+func (j *job) settled() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.terminal()
 }
 
 // terminal reports whether the job has finished, failed, or been

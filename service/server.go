@@ -450,10 +450,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // runJob executes one job attempt to a terminal state. Settlement
-// (finish + retire) happens explicitly on each exit path rather than
-// in a defer: when the campaign panics, the job must stay unsettled so
-// the supervisor's crash boundary (runJobSafe) can decide between a
-// retry and a terminal failure.
+// happens explicitly on each exit path rather than in a defer: when
+// the campaign panics, the job must stay unsettled so the supervisor's
+// crash boundary (runJobSafe) can decide between a retry and a
+// terminal failure.
 func (s *Server) runJob(j *job) {
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
@@ -461,8 +461,7 @@ func (s *Server) runJob(j *job) {
 	if err := j.ctx.Err(); err != nil {
 		// Canceled while queued (DELETE, or a drain deadline forcing
 		// the base context): never started, no result.
-		j.finish(nil, err, true)
-		s.retire(j)
+		s.settle(j, nil, err, true)
 		return
 	}
 	j.start()
@@ -488,13 +487,22 @@ func (s *Server) runJob(j *job) {
 	}
 	opts := append(j.req.options(parallel), containerdrone.WithRecordObserver(j.emit))
 	res, err := containerdrone.NewCampaign(j.req.Scenario, opts...).Run(ctx)
-	j.finish(res, err, errors.Is(err, context.Canceled))
-	s.retire(j)
+	s.settle(j, res, err, errors.Is(err, context.Canceled))
 }
 
-// retire settles a terminal job: quota slot back, journal settlement,
-// counters, latency observation, retention eviction.
-func (s *Server) retire(j *job) {
+// settle is a job's one terminal transition, on every path: a finished
+// or deadline-cut campaign, a cancel or drain before or during the run,
+// an exhausted panic retry, a journal-replayed job. Everything an
+// observer can read about the settled job — the tenant's quota slot,
+// the journal's Done entry, the counters, the latency window — is
+// written first, and the terminal status is published last, so a
+// client woken by Wait or SSE never sees /metrics lag the job. Only
+// the worker that owns the job settles it.
+func (s *Server) settle(j *job, res *containerdrone.CampaignResult, runErr error, canceled bool) {
+	if j.settled() {
+		return // a panic past publish must not count the job twice
+	}
+	status, msg, partial := verdict(res, runErr, canceled)
 	if j.admitted {
 		// Journal-replayed jobs were admitted by a previous process and
 		// hold no slot in this one's quota table.
@@ -505,8 +513,7 @@ func (s *Server) retire(j *job) {
 		// replays after the next crash — at-least-once over losing it.
 		_ = s.journal.Done(j.id)
 	}
-	st := j.snapshot()
-	switch st.Status {
+	switch status {
 	case StatusDone:
 		s.metrics.completed.Add(1)
 	case StatusCanceled:
@@ -514,14 +521,11 @@ func (s *Server) retire(j *job) {
 	default:
 		s.metrics.failed.Add(1)
 	}
-	for _, rec := range j.records {
-		if rec.Err == "" {
-			s.metrics.runsCompleted.Add(1)
-		} else {
-			s.metrics.runsFailed.Add(1)
-		}
-	}
+	ok, failed := j.runCounts()
+	s.metrics.runsCompleted.Add(ok)
+	s.metrics.runsFailed.Add(failed)
 	s.metrics.observeLatency(time.Since(j.submitted))
+	j.publish(res, status, msg, partial)
 
 	s.mu.Lock()
 	s.terminal = append(s.terminal, j.id)

@@ -120,8 +120,7 @@ func (s *Server) settlePanicked(j *job, cause any) {
 		s.metrics.jobsRetried.Add(1)
 		return
 	}
-	j.finish(nil, fmt.Errorf("job panicked: %v", cause), false)
-	s.retire(j)
+	s.settle(j, nil, fmt.Errorf("job panicked: %v", cause), false)
 }
 
 // requeue re-enqueues a panicked job for another attempt. It refuses —
