@@ -9,7 +9,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -skip TestGoldenTraces . ./internal/campaign/ ./service/
+	$(GO) test -race -skip TestGoldenTraces . ./internal/campaign/ ./service/ ./gcs/
+	$(GO) test -race -cpu 2 -parallel 1 -run 'TestObserverOrdering|TestRunCancelPartial|TestGoldenTraces/(udpflood-no-attitude|mission-flood|memdos-unguarded|swarm-cross-replay-unmonitored)$$' .
 	$(GO) test -race -run 'TestSnapshot' ./internal/core/
 
 # Full performance suite: emits BENCH_<timestamp>.json in the repo
@@ -46,7 +47,7 @@ microbench:
 # Golden-trace regression gate: every scenario's outcome pinned
 # bit-for-bit in testdata/golden/.
 golden:
-	$(GO) test -run 'TestGolden' .
+	$(GO) test -cpu 1,2 -parallel 1 -run 'TestGolden' .
 
 # Regenerate golden traces after an intentional behavior change;
 # review the diff like code.

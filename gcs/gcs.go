@@ -130,13 +130,11 @@ func getF32(b []byte) float64    { return float64(math.Float32frombits(binary.Li
 type Link struct {
 	conn *net.UDPConn
 
-	mu     sync.Mutex
-	peer   *net.UDPAddr
-	seq    uint8
-	closed bool
-
-	// OnSetpoint, when set, runs for each received setpoint command.
-	OnSetpoint func(Setpoint)
+	mu         sync.Mutex
+	peer       *net.UDPAddr
+	seq        uint8
+	closed     bool
+	onSetpoint func(Setpoint)
 
 	wg sync.WaitGroup
 }
@@ -172,6 +170,16 @@ func (l *Link) SetPeer(addr *net.UDPAddr) {
 	l.peer = addr
 }
 
+// SetOnSetpoint installs f to run, on the link's receive goroutine,
+// for each setpoint command received from then on; nil removes it. The
+// receive loop starts in Listen, so the callback is handed over under
+// the link's lock.
+func (l *Link) SetOnSetpoint(f func(Setpoint)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.onSetpoint = f
+}
+
 // SendTelemetry pushes one sample to the GCS.
 func (l *Link) SendTelemetry(t Telemetry) error {
 	l.mu.Lock()
@@ -202,7 +210,7 @@ func (l *Link) recvLoop() {
 		if l.peer == nil {
 			l.peer = from
 		}
-		cb := l.OnSetpoint
+		cb := l.onSetpoint
 		l.mu.Unlock()
 		frame, _, err := mavlink.Decode(buf[:n])
 		if err != nil || frame.MsgID != MsgIDSetpoint {

@@ -71,11 +71,11 @@ func TestLinkOverLoopback(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []Setpoint
-	link.OnSetpoint = func(sp Setpoint) {
+	link.SetOnSetpoint(func(sp Setpoint) {
 		mu.Lock()
 		got = append(got, sp)
 		mu.Unlock()
-	}
+	})
 
 	station, err := Dial(link.Addr())
 	if err != nil {

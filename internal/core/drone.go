@@ -113,7 +113,8 @@ type Drone struct {
 	seqOut  uint32
 	garbage int64 // undecodable packets seen by the receiver
 
-	// Steady-state encode scratch. The kernel is single-threaded and
+	// Steady-state encode scratch. Only the engine goroutine encodes
+	// (an airframe helper touches nothing but the airframes) and
 	// netsim.Send copies payloads into its pool, so one payload buffer
 	// and one frame buffer serve every host-side stream without
 	// allocating per frame.
@@ -271,7 +272,7 @@ func newDrone(s *System, idx int, rng *sim.RNG) (*Drone, error) {
 	d.Monitor = monitor.New(cfg.Rules)
 	d.Monitor.SetEnvelope(cfg.Envelope)
 	d.Monitor.OnSwitch = func(now time.Duration, rule monitor.Rule) {
-		s.Trace.Add(now, d.compMonitor, "rule %s violated: switching to safety controller, killing receiver", rule)
+		s.tracef(now, d.compMonitor, "rule %s violated: switching to safety controller, killing receiver", rule)
 		if d.recvTask != nil {
 			d.CPU.Remove(d.recvTask)
 		}
@@ -281,6 +282,7 @@ func newDrone(s *System, idx int, rng *sim.RNG) (*Drone, error) {
 	}
 	d.Monitor.OnViolation = func(v monitor.Violation) {
 		if s.Hooks.OnViolation != nil {
+			s.syncAirframe()
 			s.Hooks.OnViolation(v)
 		}
 	}
@@ -364,7 +366,7 @@ func (d *Drone) buildHCETasks() {
 		Period: 4 * time.Millisecond, WCET: 300 * time.Microsecond,
 		AccessRate: 15e6, MemBound: 0.6,
 		Work: func(now time.Duration) {
-			d.lastIMU = d.suite.SampleIMU(d.Quad, nowUS(now))
+			d.lastIMU = d.suite.SampleIMU(d.quad(), nowUS(now))
 			d.hostEst.FeedIMU(d.lastIMU)
 			var p []byte
 			d.sendPayload, p = mavlink.AppendIMU(d.sendPayload[:0], d.lastIMU)
@@ -377,7 +379,7 @@ func (d *Drone) buildHCETasks() {
 		Period: 20 * time.Millisecond, WCET: 120 * time.Microsecond,
 		AccessRate: 5e6, MemBound: 0.5,
 		Work: func(now time.Duration) {
-			d.lastBaro = d.suite.SampleBaro(d.Quad, nowUS(now))
+			d.lastBaro = d.suite.SampleBaro(d.quad(), nowUS(now))
 			var p []byte
 			d.sendPayload, p = mavlink.AppendBaro(d.sendPayload[:0], d.lastBaro)
 			d.sendToCCE(d.baroStream, mavlink.MsgIDBaro, p)
@@ -389,7 +391,7 @@ func (d *Drone) buildHCETasks() {
 		Period: 100 * time.Millisecond, WCET: 150 * time.Microsecond,
 		AccessRate: 5e6, MemBound: 0.5,
 		Work: func(now time.Duration) {
-			d.lastGPS = d.suite.SampleGPS(d.Quad, nowUS(now))
+			d.lastGPS = d.suite.SampleGPS(d.quad(), nowUS(now))
 			d.hostEst.FeedFix(d.lastGPS)
 			var p []byte
 			d.sendPayload, p = mavlink.AppendGPS(d.sendPayload[:0], d.lastGPS)
@@ -413,7 +415,7 @@ func (d *Drone) buildHCETasks() {
 		Name: "drv-pwm", Core: CoreDriver, Priority: sched.PrioDriver,
 		Period: 2500 * time.Microsecond, WCET: 150 * time.Microsecond,
 		AccessRate: 8e6, MemBound: 0.5,
-		Work: func(now time.Duration) { d.Quad.SetMotors(d.selectCommand()) },
+		Work: func(now time.Duration) { d.setMotors(d.selectCommand()) },
 	})
 	// Safety controller: hot standby on every sensor update.
 	d.CPU.Add(&sched.Task{
@@ -631,25 +633,28 @@ func (d *Drone) buildEngineProcs() {
 	}))
 	if d.wind != nil {
 		s.Engine.Register(s.comp(d.idx, "wind"), 10*time.Millisecond, 19, sim.ProcFunc(func(now time.Duration) {
-			d.Quad.SetDisturbance(d.wind.Step(0.01), physics.Vec3{})
+			d.setDisturbance(d.wind.Step(0.01), physics.Vec3{})
 		}))
 	}
 	s.Engine.Register(s.comp(d.idx, "physics"), sim.Tick, 20, sim.ProcFunc(func(now time.Duration) {
-		d.Quad.Step(physDT)
-		if crashed, at := d.Quad.Crashed(); crashed {
-			if already, _ := d.Log.Crashed(); !already {
-				crashAt := time.Duration(at * float64(time.Second))
-				d.Log.MarkCrash(crashAt)
-				s.Trace.Add(now, d.compPhysics, "vehicle crashed")
-				if s.Hooks.OnCrash != nil {
-					s.Hooks.OnCrash(crashAt)
-				}
-			}
+		// The members' physics procs run back to back, so the leader's
+		// steers the helper and hands it the whole fleet's step.
+		if d.idx == 0 && (s.helper != nil || s.parked != nil) {
+			s.steerHelper()
 		}
+		if h := s.helper; h != nil {
+			if d.idx == 0 {
+				h.issue()
+			}
+			return
+		}
+		d.Quad.Step(physDT)
+		d.noteCrash(now)
 	}))
 	period := time.Duration(float64(time.Second) / s.Cfg.TelemetryRate)
 	s.Engine.Register(s.comp(d.idx, "telemetry"), period, 30, sim.ProcFunc(func(now time.Duration) {
-		roll, pitch, yaw := d.Quad.State.RollPitchYaw()
+		q := d.quad()
+		roll, pitch, yaw := q.State.RollPitchYaw()
 		src := "complex"
 		if !s.Cfg.ComplexInContainer {
 			src = "host"
@@ -661,7 +666,7 @@ func (d *Drone) buildEngineProcs() {
 			sp = d.holdSP
 		}
 		sample := telemetry.Sample{
-			Time: now, Setpoint: sp, Position: d.Quad.State.Pos,
+			Time: now, Setpoint: sp, Position: q.State.Pos,
 			Roll: roll, Pitch: pitch, Yaw: yaw, Source: src,
 		}
 		d.Log.Add(sample)

@@ -105,7 +105,7 @@ func (s *System) gpsSpoofInjector(d *Drone, sp fault.Spec) fault.Injector {
 			start = now
 			applied = physics.Vec3{} // fresh window (and fresh warm-pool run)
 			d.gpsSpoofDepth++
-			s.Trace.Add(now, d.compFault, "gps-spoof begins: drift %.2f m/s", sp.Rate)
+			s.tracef(now, d.compFault, "gps-spoof begins: drift %.2f m/s", sp.Rate)
 		},
 		StepF: func(now time.Duration) {
 			retarget(physics.Vec3{X: sp.Magnitude + sp.Rate*(now-start).Seconds()})
@@ -120,7 +120,7 @@ func (s *System) gpsSpoofInjector(d *Drone, sp fault.Spec) fault.Injector {
 				f.GPSOffset = physics.Vec3{}
 				d.suite.SetFaults(f)
 			}
-			s.Trace.Add(now, d.compFault, "gps-spoof ends")
+			s.tracef(now, d.compFault, "gps-spoof ends")
 		},
 	}
 }
@@ -138,7 +138,7 @@ func (s *System) imuBiasInjector(d *Drone, sp fault.Spec) fault.Injector {
 			f := d.suite.Faults()
 			f.GyroBias = f.GyroBias.Add(bias)
 			d.suite.SetFaults(f)
-			s.Trace.Add(now, d.compFault, "imu-bias begins: %.3f rad/s", sp.Magnitude)
+			s.tracef(now, d.compFault, "imu-bias begins: %.3f rad/s", sp.Magnitude)
 		},
 		EndF: func(now time.Duration) {
 			d.gyroBiasDepth--
@@ -149,7 +149,7 @@ func (s *System) imuBiasInjector(d *Drone, sp fault.Spec) fault.Injector {
 				f.GyroBias = physics.Vec3{}
 			}
 			d.suite.SetFaults(f)
-			s.Trace.Add(now, d.compFault, "imu-bias ends")
+			s.tracef(now, d.compFault, "imu-bias ends")
 		},
 	}
 }
@@ -164,7 +164,7 @@ func (s *System) baroDropInjector(d *Drone) fault.Injector {
 			f := d.suite.Faults()
 			f.BaroFrozen = true
 			d.suite.SetFaults(f)
-			s.Trace.Add(now, d.compFault, "baro-drop begins")
+			s.tracef(now, d.compFault, "baro-drop begins")
 		},
 		EndF: func(now time.Duration) {
 			d.baroDropDepth--
@@ -173,7 +173,7 @@ func (s *System) baroDropInjector(d *Drone) fault.Injector {
 				f.BaroFrozen = false
 				d.suite.SetFaults(f)
 			}
-			s.Trace.Add(now, d.compFault, "baro-drop ends")
+			s.tracef(now, d.compFault, "baro-drop ends")
 		},
 	}
 }
@@ -188,14 +188,14 @@ func (s *System) netSplitInjector(d *Drone) fault.Injector {
 		BeginF: func(now time.Duration) {
 			d.splitDepth++
 			s.Net.SetPartition(d.hostName, d.CCE.NetHost(), true)
-			s.Trace.Add(now, d.compFault, "netsplit begins: %s <-> %s partitioned", d.hostName, d.CCE.NetHost())
+			s.tracef(now, d.compFault, "netsplit begins: %s <-> %s partitioned", d.hostName, d.CCE.NetHost())
 		},
 		EndF: func(now time.Duration) {
 			d.splitDepth--
 			if d.splitDepth == 0 {
 				s.Net.SetPartition(d.hostName, d.CCE.NetHost(), false)
 			}
-			s.Trace.Add(now, d.compFault, "netsplit heals")
+			s.tracef(now, d.compFault, "netsplit heals")
 		},
 	}
 }
@@ -211,14 +211,14 @@ func (s *System) fleetSplitInjector(d *Drone) fault.Injector {
 		BeginF: func(now time.Duration) {
 			d.fleetSplitDepth++
 			s.Net.SetPartition(d.hostName, gcsHost, true)
-			s.Trace.Add(now, d.compFault, "fleet-split begins: member %d <-> %s partitioned", d.idx, gcsHost)
+			s.tracef(now, d.compFault, "fleet-split begins: member %d <-> %s partitioned", d.idx, gcsHost)
 		},
 		EndF: func(now time.Duration) {
 			d.fleetSplitDepth--
 			if d.fleetSplitDepth == 0 {
 				s.Net.SetPartition(d.hostName, gcsHost, false)
 			}
-			s.Trace.Add(now, d.compFault, "fleet-split heals")
+			s.tracef(now, d.compFault, "fleet-split heals")
 		},
 	}
 }
@@ -241,10 +241,10 @@ func (s *System) mavReplayInjector(d *Drone, sp fault.Spec) fault.Injector {
 			route = s.Net.Route(replaySource, netsim.Addr{Host: d.hostName, Port: PortMotor})
 			idx = 0 // restart the capture cursor (fresh window, fresh warm-pool run)
 			if src != d {
-				s.Trace.Add(now, d.compFault, "mav-replay begins: %d frames captured at member %d, re-injected at member %d, %.0f/s",
+				s.tracef(now, d.compFault, "mav-replay begins: %d frames captured at member %d, re-injected at member %d, %.0f/s",
 					len(src.replayFrames), src.idx, d.idx, sp.Rate)
 			} else {
-				s.Trace.Add(now, d.compFault, "mav-replay begins: %d captured frames at %.0f/s",
+				s.tracef(now, d.compFault, "mav-replay begins: %d captured frames at %.0f/s",
 					len(src.replayFrames), sp.Rate)
 			}
 		},
@@ -259,7 +259,7 @@ func (s *System) mavReplayInjector(d *Drone, sp fault.Spec) fault.Injector {
 			}
 		},
 		EndF: func(now time.Duration) {
-			s.Trace.Add(now, d.compFault, "mav-replay ends")
+			s.tracef(now, d.compFault, "mav-replay ends")
 		},
 	}
 }
@@ -288,7 +288,7 @@ func (s *System) jitterInjector(d *Drone, sp fault.Spec) fault.Injector {
 			degraded.Latency = s.baseLink.Latency
 			s.jitterStack = append(s.jitterStack, degraded)
 			s.Net.SetLink(*degraded)
-			s.Trace.Add(now, d.compFault, "jitter begins: σ=%.0fms loss=%.0f%%",
+			s.tracef(now, d.compFault, "jitter begins: σ=%.0fms loss=%.0f%%",
 				sp.Magnitude*1e3, sp.Rate*100)
 		},
 		EndF: func(now time.Duration) {
@@ -303,7 +303,7 @@ func (s *System) jitterInjector(d *Drone, sp fault.Spec) fault.Injector {
 			} else {
 				s.Net.SetLink(s.baseLink)
 			}
-			s.Trace.Add(now, d.compFault, "jitter ends")
+			s.tracef(now, d.compFault, "jitter ends")
 		},
 	}
 }
@@ -320,7 +320,7 @@ func (s *System) prioInvInjector(d *Drone, sp fault.Spec) fault.Injector {
 		BeginF: func(now time.Duration) {
 			task = fault.PrioInversion(CoreSafety, int(sp.Magnitude))
 			d.CPU.Add(task)
-			s.Trace.Add(now, d.compFault, "prio-inv begins: FIFO %d spinner on core %d",
+			s.tracef(now, d.compFault, "prio-inv begins: FIFO %d spinner on core %d",
 				task.Priority, task.Core)
 		},
 		EndF: func(now time.Duration) {
@@ -328,7 +328,7 @@ func (s *System) prioInvInjector(d *Drone, sp fault.Spec) fault.Injector {
 				d.CPU.Remove(task)
 				task = nil
 			}
-			s.Trace.Add(now, d.compFault, "prio-inv ends")
+			s.tracef(now, d.compFault, "prio-inv ends")
 		},
 	}
 }
@@ -342,7 +342,7 @@ func (s *System) rotorDecayInjector(d *Drone, sp fault.Spec) fault.Injector {
 	return fault.FuncInjector{
 		BeginF: func(now time.Duration) {
 			start = now
-			s.Trace.Add(now, d.compFault, "rotor-decay begins: rotor 0, %.0f%% loss at %.0f%%/s",
+			s.tracef(now, d.compFault, "rotor-decay begins: rotor 0, %.0f%% loss at %.0f%%/s",
 				sp.Magnitude*100, sp.Rate*100)
 		},
 		StepF: func(now time.Duration) {
@@ -350,10 +350,10 @@ func (s *System) rotorDecayInjector(d *Drone, sp fault.Spec) fault.Injector {
 			if loss > sp.Magnitude {
 				loss = sp.Magnitude
 			}
-			d.Quad.SetRotorEfficiency(0, 1-loss)
+			d.setRotorEfficiency(0, 1-loss)
 		},
 		EndF: func(now time.Duration) {
-			s.Trace.Add(now, d.compFault, "rotor-decay ends (damage persists)")
+			s.tracef(now, d.compFault, "rotor-decay ends (damage persists)")
 		},
 	}
 }

@@ -81,23 +81,26 @@ type MemberReport struct {
 
 // Run executes the scenario to completion and returns the result.
 func (s *System) Run() *Result {
-	s.Engine.Run(s.Cfg.Duration)
-	return s.Result()
+	r, _ := s.RunContext(context.Background())
+	return r
 }
 
 // RunContext executes the scenario until completion or context
 // cancellation. On cancellation it returns the partial result
-// accumulated so far together with the context's error.
+// accumulated so far together with the context's error. When the
+// process has a spare P, the airframes fly on a helper goroutine
+// (airframe.go); the result is byte-identical either way.
 func (s *System) RunContext(ctx context.Context) (*Result, error) {
-	err := s.Engine.RunContext(ctx, s.Cfg.Duration)
+	err := s.fly(ctx, s.Engine.Clock().Ticks()+sim.TicksFor(s.Cfg.Duration), true)
 	return s.Result(), err
 }
 
 // RunContextInto is RunContext writing the outcome into a caller-owned
 // Result whose slices are reused — the warm-pool campaign's per-run
-// path, which keeps a steady-state campaign run allocation-free.
+// path, which keeps a steady-state campaign run allocation-free. It
+// steps the airframes inline: campaign workers already fill every P.
 func (s *System) RunContextInto(ctx context.Context, r *Result) error {
-	err := s.Engine.RunContext(ctx, s.Cfg.Duration)
+	err := s.fly(ctx, s.Engine.Clock().Ticks()+sim.TicksFor(s.Cfg.Duration), false)
 	s.resultInto(r)
 	return err
 }
@@ -106,7 +109,7 @@ func (s *System) RunContextInto(ctx context.Context, r *Result) error {
 // absolute tick, Stop, or context cancellation — the fork campaign's
 // shared-prefix leg, after which the System can be snapshotted.
 func (s *System) RunToTickContext(ctx context.Context, tick int64) error {
-	return s.Engine.RunToTickContext(ctx, tick)
+	return s.fly(ctx, tick, false)
 }
 
 // ResumeContextInto advances a mid-run System (typically one just
@@ -114,7 +117,7 @@ func (s *System) RunToTickContext(ctx context.Context, tick int64) error {
 // its configured flight and fills r, reusing r's backing slices — the
 // fork campaign's per-variant path.
 func (s *System) ResumeContextInto(ctx context.Context, r *Result) error {
-	err := s.Engine.RunToTickContext(ctx, sim.TicksFor(s.Cfg.Duration))
+	err := s.fly(ctx, sim.TicksFor(s.Cfg.Duration), false)
 	s.resultInto(r)
 	return err
 }

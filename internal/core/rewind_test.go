@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"containerdrone/internal/sim"
 )
 
 // rewindAllowed lists the only fields a tick-0 restore may leave
@@ -78,6 +81,63 @@ func TestRewindFieldCoverage(t *testing.T) {
 	}
 }
 
+// midRunAllowed lists the extra fields a mid-run restore may leave
+// different from the donor at the capture tick: containers whose
+// elements are the same set, in an order no run reads.
+var midRunAllowed = map[string]string{
+	"sim.Engine.slow":      "heap: Seek rebuilds the same pending set, so its array order is not the donor's",
+	"sim.Engine.oneShots":  "heap: Seek re-arms the same pending set, so its array order is not the donor's",
+	"sched.CPU.dirty":      "re-pick flags: running slots are not captured, so the restore marks every core for the same (priority, seq) re-pick",
+	"sched.CPU.dirtyCount": "re-pick flags: see sched.CPU.dirty",
+	"netsim.Endpoint.head": "ring position: the restore re-packs the queued window at slot 0; walkQueue compares the window",
+}
+
+// TestRewindFieldCoverageMidRun captures a donor mid-flight, flies a
+// sibling under a decoy seed to the end, restores the sibling from the
+// capture, and walks both: the restored sibling must equal the donor
+// at the capture tick field by field, outside rewindAllowed and
+// midRunAllowed. The pipelined run's helper state must be gone from
+// both, since it exists only while RunContext is in flight.
+func TestRewindFieldCoverageMidRun(t *testing.T) {
+	for _, name := range rewindScenarios {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			cfg, err := Build(name, Options{Seed: 7, Duration: 20 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			donor, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := donor.RunToTickContext(context.Background(), sim.TicksFor(1500*time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+			if err := donor.Snapshotable(); err != nil {
+				t.Fatalf("donor not snapshotable at 1.5 s: %v", err)
+			}
+			snap := donor.Snapshot()
+
+			decoy := cfg
+			decoy.Seed = 0xDECAF
+			warm, err := New(decoy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := warm.RunContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			warm.RestoreFrom(cfg.Seed, snap)
+
+			w := rewindWalker{pairs: make(map[uintptr]uintptr), allowed: midRunAllowed}
+			w.walk("System", reflect.ValueOf(donor), reflect.ValueOf(warm))
+			for _, d := range w.diffs {
+				t.Error(d)
+			}
+		})
+	}
+}
+
 // TestRewindWalkerCatchesForgottenField is the walker's own mutation
 // check: a field left dirty after the restore must be reported.
 func TestRewindWalkerCatchesForgottenField(t *testing.T) {
@@ -108,8 +168,9 @@ func TestRewindWalkerCatchesForgottenField(t *testing.T) {
 // funcs by code pointer (closures bind their own System, so only the
 // code is comparable), floats bit for bit.
 type rewindWalker struct {
-	pairs map[uintptr]uintptr
-	diffs []string
+	pairs   map[uintptr]uintptr
+	allowed map[string]string // skipped on top of rewindAllowed
+	diffs   []string
 }
 
 func (w *rewindWalker) fail(path, format string, args ...any) {
@@ -128,7 +189,7 @@ func (w *rewindWalker) walk(path string, a, b reflect.Value) {
 		pa, pb := a.Pointer(), b.Pointer()
 		if seen, ok := w.pairs[pa]; ok {
 			if seen != pb {
-				w.fail(path, "aliases a different object than in the cold build")
+				w.fail(path, "aliases a different object than in the reference graph")
 			}
 			return
 		}
@@ -136,16 +197,23 @@ func (w *rewindWalker) walk(path string, a, b reflect.Value) {
 		w.walk(path, a.Elem(), b.Elem())
 	case reflect.Struct:
 		typ := a.Type()
+		if w.allowed != nil && typ.String() == "netsim.Endpoint" {
+			w.walkQueue(path, a, b)
+		}
 		for i := 0; i < a.NumField(); i++ {
 			name := typ.Field(i).Name
-			if _, ok := rewindAllowed[typ.String()+"."+name]; ok {
+			key := typ.String() + "." + name
+			if _, ok := rewindAllowed[key]; ok {
+				continue
+			}
+			if _, ok := w.allowed[key]; ok {
 				continue
 			}
 			w.walk(path+"."+name, a.Field(i), b.Field(i))
 		}
 	case reflect.Slice, reflect.Array:
 		if a.Len() != b.Len() {
-			w.fail(path, "length %d, cold build %d", b.Len(), a.Len())
+			w.fail(path, "length %d, want %d", b.Len(), a.Len())
 			return
 		}
 		for i := 0; i < a.Len(); i++ {
@@ -153,7 +221,7 @@ func (w *rewindWalker) walk(path string, a, b reflect.Value) {
 		}
 	case reflect.Map:
 		if a.Len() != b.Len() {
-			w.fail(path, "%d entries, cold build %d", b.Len(), a.Len())
+			w.fail(path, "%d entries, want %d", b.Len(), a.Len())
 			return
 		}
 		am, bm := mapByKey(a), mapByKey(b)
@@ -178,7 +246,7 @@ func (w *rewindWalker) walk(path string, a, b reflect.Value) {
 			return
 		}
 		if a.Elem().Type() != b.Elem().Type() {
-			w.fail(path, "dynamic type %v, cold build %v", b.Elem().Type(), a.Elem().Type())
+			w.fail(path, "dynamic type %v, want %v", b.Elem().Type(), a.Elem().Type())
 			return
 		}
 		w.walk(path, a.Elem(), b.Elem())
@@ -188,26 +256,42 @@ func (w *rewindWalker) walk(path string, a, b reflect.Value) {
 		}
 	case reflect.Bool:
 		if a.Bool() != b.Bool() {
-			w.fail(path, "%v, cold build %v", b.Bool(), a.Bool())
+			w.fail(path, "%v, want %v", b.Bool(), a.Bool())
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		if a.Int() != b.Int() {
-			w.fail(path, "%d, cold build %d", b.Int(), a.Int())
+			w.fail(path, "%d, want %d", b.Int(), a.Int())
 		}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
 		if a.Uint() != b.Uint() {
-			w.fail(path, "%d, cold build %d", b.Uint(), a.Uint())
+			w.fail(path, "%d, want %d", b.Uint(), a.Uint())
 		}
 	case reflect.Float32, reflect.Float64:
 		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
-			w.fail(path, "%v, cold build %v", b.Float(), a.Float())
+			w.fail(path, "%v, want %v", b.Float(), a.Float())
 		}
 	case reflect.String:
 		if a.String() != b.String() {
-			w.fail(path, "%q, cold build %q", b.String(), a.String())
+			w.fail(path, "%q, want %q", b.String(), a.String())
 		}
 	default:
 		w.fail(path, "unsupported kind %v", a.Kind())
+	}
+}
+
+// walkQueue compares the packets queued on two netsim endpoints,
+// oldest first, wherever each ring holds them.
+func (w *rewindWalker) walkQueue(path string, a, b reflect.Value) {
+	count := int(a.FieldByName("count").Int())
+	if int(b.FieldByName("count").Int()) != count {
+		return // the count field itself reports the mismatch
+	}
+	slot := func(ep reflect.Value, i int) reflect.Value {
+		ring := ep.FieldByName("ring")
+		return ring.Index((int(ep.FieldByName("head").Int()) + i) % ring.Len())
+	}
+	for i := 0; i < count; i++ {
+		w.walk(fmt.Sprintf("%s.queue[%d]", path, i), slot(a, i), slot(b, i))
 	}
 }
 

@@ -175,7 +175,7 @@ func (d *Drone) snapshotInto(ms *memberSnap) {
 	d.Guard.SnapshotInto(&ms.guard)
 	d.Runtime.NAT().SnapshotInto(&ms.nat)
 
-	ms.quad = *d.Quad
+	ms.quad = *d.quad()
 	ms.haveWind = d.wind != nil
 	if d.wind != nil {
 		d.wind.SnapshotInto(&ms.wind)

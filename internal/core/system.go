@@ -37,9 +37,11 @@ type StreamStat struct {
 // public SDK can stream a run live (ticks, violations, Simplex
 // switches, crashes) without the deterministic kernel knowing about
 // its consumers. Hooks are invoked synchronously from the engine
-// loop, on the run's goroutine. In a swarm, OnSample fires for the
-// leader's telemetry only; OnViolation/OnSwitch/OnCrash fire for every
-// member.
+// loop, on the run's goroutine, in simulated-time order; with an
+// airframe helper the engine syncs with it before each call, so a
+// crash lands among the other calls exactly where an inline run puts
+// it. In a swarm, OnSample fires for the leader's telemetry only;
+// OnViolation/OnSwitch/OnCrash fire for every member.
 type Hooks struct {
 	// OnSample fires at the telemetry rate with each recorded sample.
 	OnSample func(now time.Duration, s telemetry.Sample)
@@ -65,15 +67,20 @@ type Hooks struct {
 // (the leader), so single-drone callers read the System exactly as
 // before the fleet refactor.
 //
-// A System is single-threaded — the deterministic kernel forbids
-// intra-run concurrency — but distinct Systems share no mutable
-// state: every substrate (engine, CPUs, buses, network, RNG streams,
-// logs) is owned by the instance, and the only package-level data in
-// the dependency graph (MAVLink message registry, scenario registry,
-// physics geometry tables) is written at init time only. Concurrent
-// core.New(cfg).Run() calls on separate Systems are therefore safe;
-// the campaign runner's worker pool relies on this, and the campaign
-// tests enforce it under the race detector.
+// A run is deterministic: the engine runs the flight computer on the
+// calling goroutine, and the only concurrency inside a run is one
+// optional airframe helper (airframe.go) that RunContext starts when a
+// spare P exists. It integrates the airframes and meets the engine at
+// the sensor/actuator boundary, so the run is byte-identical to an
+// inline one. Distinct Systems share no mutable state: every substrate
+// (engine, CPUs, buses, network, RNG streams, logs) is owned by the
+// instance, and the only package-level data in the dependency graph
+// (MAVLink message registry, scenario registry, physics geometry
+// tables) is written at init time only; the one process-wide counter
+// is the helpers' P budget. Concurrent core.New(cfg).Run() calls on
+// separate Systems are therefore safe; the campaign runner's worker
+// pool relies on this, and the campaign tests enforce it under the
+// race detector.
 //
 // RestoreFrom is the only way a System rewinds. A warm-pool run
 // restores a Snapshot captured at tick 0 right after New; a fork
@@ -122,6 +129,11 @@ type System struct {
 	// violScratch backs the aggregated top-level Violations slice of
 	// swarm results, reused across warm-pool runs.
 	violScratch []monitor.Violation
+
+	// During a pipelined RunContext (see airframe.go), helper is set
+	// while the airframes step on the helper goroutine and parked while
+	// they step inline. Both are nil outside such a run.
+	helper, parked *airframeHelper
 }
 
 // Members returns the fleet, leader first. The slice is owned by the
@@ -191,7 +203,7 @@ func New(cfg Config) (*System, error) {
 			for _, d := range s.drones {
 				d.Monitor.Arm(now)
 			}
-			s.Trace.Add(now, "monitor", "armed")
+			s.tracef(now, "monitor", "armed")
 		})
 	}
 
@@ -227,10 +239,10 @@ func (s *System) scheduleAttack() {
 		s.Engine.At(plan.Start, func(now time.Duration) {
 			t := attack.Bandwidth(CoreContainer, plan.Rate)
 			if err := a.CCE.StartTask(t); err != nil {
-				s.Trace.Add(now, a.compAttack, "bandwidth launch failed: %v", err)
+				s.tracef(now, a.compAttack, "bandwidth launch failed: %v", err)
 				return
 			}
-			s.Trace.Add(now, a.compAttack, "bandwidth attack launched (%.0f acc/s)", t.AccessRate)
+			s.tracef(now, a.compAttack, "bandwidth attack launched (%.0f acc/s)", t.AccessRate)
 		})
 	case attack.KindFlood:
 		s.Engine.At(plan.Start, func(now time.Duration) {
@@ -249,31 +261,31 @@ func (s *System) scheduleAttack() {
 			}
 			a.flood = attack.NewFlood(send, plan.Rate, 64)
 			if err := a.CCE.StartTask(a.flood.Task(CoreContainer)); err != nil {
-				s.Trace.Add(now, a.compAttack, "flood launch failed: %v", err)
+				s.tracef(now, a.compAttack, "flood launch failed: %v", err)
 				return
 			}
 			if victim != a {
-				s.Trace.Add(now, a.compAttack, "UDP flood launched against member %d (%.0f pkt/s)",
+				s.tracef(now, a.compAttack, "UDP flood launched against member %d (%.0f pkt/s)",
 					victim.idx, a.flood.PacketsPerSecond)
 			} else {
-				s.Trace.Add(now, a.compAttack, "UDP flood launched (%.0f pkt/s)", a.flood.PacketsPerSecond)
+				s.tracef(now, a.compAttack, "UDP flood launched (%.0f pkt/s)", a.flood.PacketsPerSecond)
 			}
 		})
 	case attack.KindKill:
 		s.Engine.At(plan.Start, func(now time.Duration) {
 			if a.complexTask != nil {
 				a.CCE.StopTask(a.complexTask)
-				s.Trace.Add(now, a.compAttack, "complex controller killed")
+				s.tracef(now, a.compAttack, "complex controller killed")
 			}
 		})
 	case attack.KindCPUHog:
 		s.Engine.At(plan.Start, func(now time.Duration) {
 			t := attack.CPUHog(CoreContainer, sched.PrioContainer)
 			if err := a.CCE.StartTask(t); err != nil {
-				s.Trace.Add(now, a.compAttack, "cpu hog launch failed: %v", err)
+				s.tracef(now, a.compAttack, "cpu hog launch failed: %v", err)
 				return
 			}
-			s.Trace.Add(now, a.compAttack, "CPU hog launched")
+			s.tracef(now, a.compAttack, "CPU hog launched")
 		})
 	}
 }

@@ -3,11 +3,15 @@
 // clock, a seeded random number generator, a periodic-callback
 // scheduler and a bounded trace buffer.
 //
-// The kernel is single-threaded by design. The paper's testbed is a
+// The kernel is deterministic by design. The paper's testbed is a
 // real-time system whose behaviour must be reproducible in analysis;
 // all simulated concurrency (cores, network queues, sensor streams) is
-// expressed as work performed inside a tick, so a run is a pure
-// function of (scenario, seed).
+// expressed as work performed inside a tick on the engine's goroutine,
+// so a run is a pure function of (scenario, seed). The one real
+// concurrency a run may have lives above this package: an optional
+// airframe helper (internal/core) that integrates the vehicle on a
+// second goroutine and is synchronized with the engine at the
+// sensor/actuator boundary, without changing any result.
 package sim
 
 import (

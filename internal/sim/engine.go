@@ -388,17 +388,18 @@ func (e *Engine) Seek(st *EngineState) {
 	}
 	heap.Init(&e.oneShots)
 	e.seq = e.chkSeq
-	// Re-phase every process: after stepping ticks [0, T), the next fire
-	// of a period-p process is the smallest multiple of p that is >= T
-	// (phase advances even while disabled, so this holds for disabled
-	// processes too). Pushing in registration order rebuilds the heap
-	// exactly as Register built it, so a tick-0 seek leaves the engine
-	// identical to a fresh build.
+	// Re-phase every slow process: after stepping ticks [0, T), the next
+	// fire of a period-p process is the smallest multiple of p that is
+	// >= T (phase advances even while disabled, so this holds for
+	// disabled processes too). Every-tick processes never read their
+	// next fire. Pushing in registration order rebuilds the heap exactly
+	// as Register built it, so a tick-0 seek leaves the engine identical
+	// to a fresh build.
 	e.slow = e.slow[:0]
 	for i, ent := range e.procs {
 		ent.enabled = st.enabled[i]
-		ent.next = ((st.tick + ent.period - 1) / ent.period) * ent.period
 		if ent.period > 1 {
+			ent.next = ((st.tick + ent.period - 1) / ent.period) * ent.period
 			heap.Push(&e.slow, ent)
 		}
 	}
@@ -406,10 +407,13 @@ func (e *Engine) Seek(st *EngineState) {
 }
 
 // RunToTickContext advances the simulation until the clock reaches the
-// absolute tick end, Stop is called, or the context is done (same
-// cancellation contract as RunContext). It is the fork-campaign
-// primitive: fly the shared prefix to the snapshot tick, and resume a
-// restored run from there to the flight's end.
+// absolute tick end, Stop is called, or the context is done. On
+// cancellation the engine halts at a tick boundary and returns the
+// context's error, leaving the system in a consistent mid-run state
+// that can still be snapshotted. Every run of a core.System goes
+// through it: a whole flight, the fork campaign's shared prefix up to
+// the snapshot tick, and a restored run's resumption to the flight's
+// end.
 func (e *Engine) RunToTickContext(ctx context.Context, end int64) error {
 	countdown := 0
 	for e.clock.Ticks() < end && !e.stopped {
@@ -425,38 +429,18 @@ func (e *Engine) RunToTickContext(ctx context.Context, end int64) error {
 	return nil
 }
 
+// ctxCheckTicks is how often RunToTickContext polls the context: every
+// 1024 ticks (~0.1 s simulated) keeps the poll off the per-tick hot
+// path while bounding cancellation latency to a fraction of a
+// simulated second.
+const ctxCheckTicks = 1024
+
 // Run advances the simulation for the given duration or until Stop.
 func (e *Engine) Run(d time.Duration) {
 	end := e.clock.Ticks() + TicksFor(d)
 	for e.clock.Ticks() < end && !e.stopped {
 		e.Step()
 	}
-}
-
-// ctxCheckTicks is how often RunContext polls the context: every
-// 1024 ticks (~0.1 s simulated) keeps the poll off the per-tick hot
-// path while bounding cancellation latency to a fraction of a
-// simulated second.
-const ctxCheckTicks = 1024
-
-// RunContext advances the simulation for the given duration or until
-// Stop or the context is done. On cancellation the engine halts at a
-// tick boundary and returns the context's error, leaving the system
-// in a consistent mid-run state that can still be snapshotted.
-func (e *Engine) RunContext(ctx context.Context, d time.Duration) error {
-	end := e.clock.Ticks() + TicksFor(d)
-	countdown := 0
-	for e.clock.Ticks() < end && !e.stopped {
-		if countdown == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			countdown = ctxCheckTicks
-		}
-		countdown--
-		e.Step()
-	}
-	return nil
 }
 
 // RunUntil advances until the absolute simulated time t or Stop.

@@ -18,9 +18,13 @@ const TicksPerSecond = 10_000
 
 // Sim is one buildable, runnable scenario instance. Build it with New
 // or NewFromConfig, optionally attach observers, then call Run
-// exactly once. A Sim is single-goroutine — the deterministic kernel
-// forbids intra-run concurrency — but distinct Sims share no mutable
-// state, so concurrent New(...).Run(...) calls are safe.
+// exactly once. A run is deterministic: the simulation loop runs on
+// the goroutine that calls Run, and when the process has a spare P
+// (GOMAXPROCS of 2 or more, not taken by other flights) the airframe
+// integrates on one helper goroutine that meets the loop at the
+// sensor/actuator boundary, so results and observer callbacks are
+// byte-identical either way. Distinct Sims share no mutable state, so
+// concurrent New(...).Run(...) calls are safe.
 type Sim struct {
 	cfg       Config
 	sys       *core.System
