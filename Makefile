@@ -11,6 +11,7 @@ test:
 race:
 	$(GO) test -race -skip TestGoldenTraces . ./internal/campaign/ ./service/ ./gcs/
 	$(GO) test -race -cpu 2 -parallel 1 -run 'TestObserverOrdering|TestRunCancelPartial|TestGoldenTraces/(udpflood-no-attitude|mission-flood|memdos-unguarded|swarm-cross-replay-unmonitored)$$' .
+	$(GO) test -race -run 'TestAirframeHelper|TestRewindFieldCoverageMidRun' ./internal/core/
 	$(GO) test -race -run 'TestSnapshot' ./internal/core/
 
 # Full performance suite: emits BENCH_<timestamp>.json in the repo

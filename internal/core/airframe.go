@@ -30,18 +30,10 @@ import (
 // every helper another, and a helper starts only if that leaves the
 // total within GOMAXPROCS. Campaign and service workers fly through
 // RunContextInto/ResumeContextInto, already keep every core busy, and
-// step the airframe inline.
-//
-// Whether the helper pays depends on the host. A sync is a cross-core
-// round trip, and on a busy host the helper's CPU can lose its core
-// for milliseconds, so a flight on two cores can be slower than on
-// one. A pipelined flight therefore times itself in windows of
-// modeWindow ticks. The first window flies inline and the next on the
-// helper. The flight stays on the helper while each helper window
-// beats the last inline one, and otherwise flies inline, trying the
-// helper again every exploreEvery windows. The helper sleeps while the
-// flight is inline. A flight that finds the process oversubscribed
-// (another flight started) stops its helper and finishes inline.
+// step the airframe inline. A pipelined flight that later finds the
+// process oversubscribed (other flights started after it) stops its
+// helper and finishes inline, so its spinning never takes a core from
+// another flight.
 
 // flightPs counts the Ps that flights hold: one per System in flight
 // plus one per airframe helper.
@@ -54,7 +46,7 @@ func (s *System) fly(ctx context.Context, end int64, withHelper bool) error {
 	flightPs.Add(1)
 	defer flightPs.Add(-1)
 	if withHelper && end-s.Engine.Clock().Ticks() < math.MaxUint32 && takeSpareP() {
-		return s.runWithHelper(ctx, end, adaptive)
+		return s.runWithHelper(ctx, end)
 	}
 	return s.Engine.RunToTickContext(ctx, end)
 }
@@ -79,30 +71,10 @@ func oversubscribed() bool {
 	return int(flightPs.Load()) > runtime.GOMAXPROCS(0)
 }
 
-// helperPolicy picks where a pipelined flight steps its airframes.
-type helperPolicy int
-
-const (
-	// adaptive keeps the faster mode, as timed over mode windows, and
-	// drops the helper when the process is oversubscribed.
-	adaptive helperPolicy = iota
-	// aside steps on the helper from the first tick it runs (tests).
-	aside
-	// alternate switches mode every window of alternateWindow ticks
-	// (tests).
-	alternate
-)
-
-// modeWindow is the length in ticks of an adaptive flight's timing
-// window, about 3 ms of wall time: long enough to average out
-// sub-millisecond noise, short enough for several windows per flight.
-// exploreEvery is how often, in windows, an inline flight tries the
-// helper again.
-const (
-	modeWindow      = 16384
-	exploreEvery    = 8
-	alternateWindow = 1000
-)
+// budgetCheckEvery is how often, in issued steps, a pipelined flight
+// checks the process for oversubscription: about 3 ms of wall time,
+// small against a flight and long enough that the check costs nothing.
+const budgetCheckEvery = 1 << 14
 
 // Airframe write kinds.
 const (
@@ -151,16 +123,12 @@ type airframeHelper struct {
 	// req is the engine's published progress: steps issued, inputs queued.
 	req atomic.Uint64
 	_   cacheLine
-	// rep is the helper's: the req it has fully flown. running is set
-	// once the helper goroutine has started.
-	rep     atomic.Uint64
-	running atomic.Bool
-	_       cacheLine
-	// sleeping is set by an idle helper about to block on wake; parked
-	// tells it the engine is stepping inline, so it sleeps at once; stop
+	// rep is the helper's: the req it has fully flown.
+	rep atomic.Uint64
+	_   cacheLine
+	// sleeping is set by an idle helper about to block on wake; stop
 	// tells it to exit.
 	sleeping atomic.Bool
-	parked   atomic.Bool
 	stop     atomic.Bool
 	_        cacheLine
 
@@ -168,16 +136,7 @@ type airframeHelper struct {
 	issued, tail uint32
 	published    uint64 // the last req stored
 	synced       uint64 // the last req the helper was seen to have flown
-
-	// Mode windows: the current window's first tick and wall time, the
-	// tick it ends at, the windows completed, and the last measured wall
-	// time per tick inline and on the helper (0 until measured).
-	winTick   int64
-	winStart  time.Time
-	winEnd    int64
-	windows   int
-	nsPerTick [2]float64
-	_         cacheLine
+	_            cacheLine
 
 	inputs [inputSlots]airframeInput
 
@@ -186,34 +145,24 @@ type airframeHelper struct {
 	crashStep []int64
 
 	quads  []*physics.Quad
-	start  int64 // engine tick step 0 was (or would have been) issued at
+	start  int64 // engine tick step 0 is issued at
 	spins  int   // waitSpins, or 0 with a single P
-	policy helperPolicy
-	window int64 // ticks per mode window
 	wake   chan struct{}
 	exited chan struct{}
 }
 
-// runWithHelper flies to the absolute tick end with the airframe
-// helper, which holds the P takeSpareP claimed unless the policy is a
-// test one. The flight starts inline with the helper parked; s.helper
-// is set while the airframes step on the helper and s.parked while
-// they step inline, and both are nil once the run returns.
-func (s *System) runWithHelper(ctx context.Context, end int64, policy helperPolicy) error {
+// runWithHelper flies to the absolute tick end with the airframes on
+// a helper goroutine, which holds a P the caller claimed in flightPs
+// and releases when the helper stops. s.helper is set while the
+// airframes step on the helper and is nil once the run returns.
+func (s *System) runWithHelper(ctx context.Context, end int64) error {
 	h := &airframeHelper{
 		crashStep: make([]int64, len(s.drones)),
 		quads:     make([]*physics.Quad, len(s.drones)),
+		start:     s.Engine.Clock().Ticks(),
 		spins:     waitSpins,
-		policy:    policy,
-		window:    modeWindow,
 		wake:      make(chan struct{}, 1),
 		exited:    make(chan struct{}),
-	}
-	switch policy {
-	case aside:
-		h.window = 1
-	case alternate:
-		h.window = alternateWindow
 	}
 	if runtime.GOMAXPROCS(0) == 1 {
 		h.spins = 0
@@ -222,11 +171,7 @@ func (s *System) runWithHelper(ctx context.Context, end int64, policy helperPoli
 		h.quads[i] = d.Quad
 		h.crashStep[i] = -1
 	}
-	h.winTick = s.Engine.Clock().Ticks()
-	h.winStart = time.Now()
-	h.winEnd = h.winTick + h.window
-	h.parked.Store(true)
-	s.parked = h
+	s.helper = h
 	go h.loop()
 	defer s.dropHelper()
 	err := s.Engine.RunToTickContext(ctx, end)
@@ -234,83 +179,36 @@ func (s *System) runWithHelper(ctx context.Context, end int64, policy helperPoli
 	return err
 }
 
-// steerHelper runs in the leader's physics proc before the tick's
-// step. At the end of a mode window it records the window's wall time
-// per tick and moves the airframes to the mode the policy picks.
-func (s *System) steerHelper() {
+// issueStep runs in the leader's physics proc, which the members'
+// procs follow back to back in every tick, and hands an airframe
+// helper the whole fleet's step for this tick. A run that finds the
+// process oversubscribed first gives its helper up, and this tick and
+// every later one step inline.
+func (s *System) issueStep() {
 	h := s.helper
 	if h == nil {
-		h = s.parked
-	}
-	tick := s.Engine.Clock().Ticks()
-	if tick < h.winEnd {
 		return
 	}
-	if h.policy == adaptive && oversubscribed() {
+	if h.issued%budgetCheckEvery == 0 && oversubscribed() {
 		s.syncAirframe()
 		s.dropHelper()
 		return
 	}
-	now := time.Now()
-	onHelper := s.helper != nil
-	mode := 0
-	if onHelper {
-		mode = 1
-	}
-	h.nsPerTick[mode] = float64(now.Sub(h.winStart)) / float64(tick-h.winTick)
-	h.windows++
-	h.winTick, h.winStart, h.winEnd = tick, now, tick+h.window
-
-	want := h.wantHelper(onHelper)
-	switch {
-	case want && !onHelper && h.running.Load():
-		// Steps issued from now on land at this tick onwards.
-		h.start = tick - int64(h.issued)
-		h.parked.Store(false)
-		h.nudge()
-		s.helper, s.parked = h, nil
-	case !want && onHelper:
-		s.syncAirframe()
-		h.parked.Store(true)
-		s.helper, s.parked = nil, h
-	}
+	h.issue()
 }
 
-// wantHelper picks the mode of the next window: true for the helper.
-func (h *airframeHelper) wantHelper(onHelper bool) bool {
-	switch h.policy {
-	case aside:
-		return true
-	case alternate:
-		return !onHelper
-	}
-	inline, helper := h.nsPerTick[0], h.nsPerTick[1]
-	switch {
-	case helper == 0:
-		return true // never timed on the helper yet
-	case onHelper:
-		return helper < inline
-	default:
-		return h.windows%exploreEvery == 0
-	}
-}
-
-// dropHelper stops the run's airframe helper, if one still exists, once
-// it has flown every issued step; the airframes step inline from then
-// on. It reports no crash: callers sync first unless unwinding a panic.
+// dropHelper stops the run's airframe helper, if it still has one,
+// once it has flown every issued step, and releases the helper's P;
+// the airframes step inline from then on. It reports no crash: callers
+// sync first unless unwinding a panic.
 func (s *System) dropHelper() {
 	h := s.helper
-	if h == nil {
-		h = s.parked
-	}
 	if h == nil {
 		return
 	}
 	h.close()
-	s.helper, s.parked = nil, nil
-	if h.policy == adaptive {
-		flightPs.Add(-1)
-	}
+	s.helper = nil
+	flightPs.Add(-1)
 }
 
 // syncAirframe waits for a pipelined run's helper to fly every issued
@@ -415,7 +313,6 @@ func (h *airframeHelper) close() {
 // reports the req it has caught up with.
 func (h *airframeHelper) loop() {
 	defer close(h.exited)
-	h.running.Store(true)
 	var done, head uint32
 	for {
 		req := h.req.Load()
@@ -439,9 +336,9 @@ func (h *airframeHelper) loop() {
 }
 
 // idle waits for a req other than seen: spinning first, then yielding
-// the P, and when parked or after a long quiet spell (the engine in a
-// slow observer callback, say) sleeping until the engine publishes. It
-// returns false when told to stop.
+// the P, and after a long quiet spell (the engine in a slow observer
+// callback, say) sleeping until the engine publishes. It returns false
+// when told to stop.
 func (h *airframeHelper) idle(seen uint64) bool {
 	for spins := 0; ; spins++ {
 		if h.req.Load() != seen {
@@ -451,7 +348,7 @@ func (h *airframeHelper) idle(seen uint64) bool {
 			return false
 		}
 		switch {
-		case h.parked.Load() || spins >= 4*h.spins+idleYields:
+		case spins >= 4*h.spins+idleYields:
 			h.sleeping.Store(true)
 			if h.req.Load() == seen && !h.stop.Load() {
 				<-h.wake

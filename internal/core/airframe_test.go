@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -31,10 +32,10 @@ func hookRecorder(s *System, events *[]string) {
 }
 
 // flyInlineAndAside flies cfg twice, once stepping the airframes inline
-// and once with the helper under policy, and fails unless the results,
-// the traces and the hook call sequences match exactly. setup, when
-// set, runs on each System after the recording hooks are attached.
-func flyInlineAndAside(t *testing.T, cfg Config, policy helperPolicy, setup func(s *System, cancel context.CancelFunc)) {
+// and once on the helper, and fails unless the results, the traces and
+// the hook call sequences match exactly. setup, when set, runs on each
+// System after the recording hooks are attached.
+func flyInlineAndAside(t *testing.T, cfg Config, setup func(s *System, cancel context.CancelFunc)) {
 	t.Helper()
 	fly := func(withHelper bool) (*Result, []string, error) {
 		s, err := New(cfg)
@@ -49,8 +50,9 @@ func flyInlineAndAside(t *testing.T, cfg Config, policy helperPolicy, setup func
 			setup(s, cancel)
 		}
 		if withHelper {
-			err = s.runWithHelper(ctx, s.Engine.Clock().Ticks()+sim.TicksFor(cfg.Duration), policy)
-			if s.helper != nil || s.parked != nil {
+			flightPs.Add(1) // the helper's P, which the run releases
+			err = s.runWithHelper(ctx, s.Engine.Clock().Ticks()+sim.TicksFor(cfg.Duration))
+			if s.helper != nil {
 				t.Fatal("helper still attached after the run")
 			}
 			return s.Result(), events, err
@@ -93,17 +95,18 @@ func TestAirframeHelperEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Duration = min(cfg.Duration, 20*time.Second)
-			flyInlineAndAside(t, cfg, aside, nil)
+			flyInlineAndAside(t, cfg, nil)
 		})
 	}
 }
 
-// TestAirframeHelperModeSwitch moves the airframes between the engine
-// and the helper every thousand ticks, as an adaptive flight does when
-// its timing windows disagree, and requires the inline outcome byte
-// for byte. The scenarios cover crashes on either side of a switch, the
-// wind and rotor-decay writes, and a fleet.
-func TestAirframeHelperModeSwitch(t *testing.T) {
+// TestAirframeHelperDrop oversubscribes the process mid-flight, as
+// other flights starting after this one do, so the flight gives its
+// helper up at the next budget check and finishes inline; the outcome
+// must still match the inline flight byte for byte. The drop lands
+// before the crash in the crashing scenarios, and the scenarios also
+// cover the wind and rotor-decay writes and a fleet.
+func TestAirframeHelperDrop(t *testing.T) {
 	for _, name := range []string{"udpflood-no-attitude", "memdos-unguarded", "rotor-decay", "mission", "swarm-cross-replay-unmonitored"} {
 		t.Run(name, func(t *testing.T) {
 			cfg, err := Build(name, Options{Seed: 7})
@@ -111,7 +114,21 @@ func TestAirframeHelperModeSwitch(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Duration = min(cfg.Duration, 20*time.Second)
-			flyInlineAndAside(t, cfg, alternate, nil)
+			extra, added := int32(runtime.GOMAXPROCS(0)), int32(0)
+			defer func() { flightPs.Add(-added) }()
+			flyInlineAndAside(t, cfg, func(s *System, _ context.CancelFunc) {
+				s.Engine.At(4*time.Second, func(time.Duration) {
+					if s.helper != nil {
+						flightPs.Add(extra)
+						added = extra
+					}
+				})
+				s.Engine.At(8*time.Second, func(time.Duration) {
+					if s.helper != nil {
+						t.Error("helper still attached 4 s after the process was oversubscribed")
+					}
+				})
+			})
 		})
 	}
 }
@@ -126,7 +143,7 @@ func TestAirframeHelperCancel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flyInlineAndAside(t, cfg, aside, func(s *System, cancel context.CancelFunc) {
+			flyInlineAndAside(t, cfg, func(s *System, cancel context.CancelFunc) {
 				afterSample(s, func(now time.Duration) {
 					if now >= cfg.Duration/2 {
 						cancel()
@@ -172,7 +189,7 @@ func TestAirframeHelperCrashOrdering(t *testing.T) {
 	}
 	for name, emit := range emits {
 		t.Run(name, func(t *testing.T) {
-			flyInlineAndAside(t, cfg, aside, func(s *System, _ context.CancelFunc) {
+			flyInlineAndAside(t, cfg, func(s *System, _ context.CancelFunc) {
 				s.Engine.At(res.CrashTime, func(now time.Duration) { emit(s, now) })
 			})
 		})
@@ -187,37 +204,11 @@ func TestAirframeHelperSlowObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flyInlineAndAside(t, cfg, aside, func(s *System, _ context.CancelFunc) {
+	flyInlineAndAside(t, cfg, func(s *System, _ context.CancelFunc) {
 		afterSample(s, func(now time.Duration) {
 			if now < 60*time.Millisecond {
 				time.Sleep(50 * time.Millisecond)
 			}
 		})
 	})
-}
-
-// TestAdaptiveModeChoice pins the adaptive policy: the first timed
-// window is inline, so the next flies on the helper; the flight stays
-// on the helper while a helper window beats the last inline one, and
-// an inline flight retries the helper every exploreEvery windows.
-func TestAdaptiveModeChoice(t *testing.T) {
-	cases := []struct {
-		name      string
-		onHelper  bool
-		nsPerTick [2]float64
-		windows   int
-		want      bool
-	}{
-		{"helper never timed", false, [2]float64{300, 0}, 1, true},
-		{"helper window faster", true, [2]float64{300, 250}, 2, true},
-		{"helper window slower", true, [2]float64{300, 350}, 2, false},
-		{"inline, not yet time to retry", false, [2]float64{300, 350}, 3, false},
-		{"inline, retry the helper", false, [2]float64{300, 350}, exploreEvery, true},
-	}
-	for _, c := range cases {
-		h := airframeHelper{policy: adaptive, nsPerTick: c.nsPerTick, windows: c.windows}
-		if got := h.wantHelper(c.onHelper); got != c.want {
-			t.Errorf("%s: wantHelper = %v, want %v", c.name, got, c.want)
-		}
-	}
 }

@@ -637,15 +637,12 @@ func (d *Drone) buildEngineProcs() {
 		}))
 	}
 	s.Engine.Register(s.comp(d.idx, "physics"), sim.Tick, 20, sim.ProcFunc(func(now time.Duration) {
-		// The members' physics procs run back to back, so the leader's
-		// steers the helper and hands it the whole fleet's step.
-		if d.idx == 0 && (s.helper != nil || s.parked != nil) {
-			s.steerHelper()
+		// The leader's proc hands an airframe helper the whole fleet's
+		// step; the other members' procs then have nothing to do.
+		if d.idx == 0 {
+			s.issueStep()
 		}
-		if h := s.helper; h != nil {
-			if d.idx == 0 {
-				h.issue()
-			}
+		if s.helper != nil {
 			return
 		}
 		d.Quad.Step(physDT)

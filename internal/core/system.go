@@ -130,10 +130,9 @@ type System struct {
 	// swarm results, reused across warm-pool runs.
 	violScratch []monitor.Violation
 
-	// During a pipelined RunContext (see airframe.go), helper is set
-	// while the airframes step on the helper goroutine and parked while
-	// they step inline. Both are nil outside such a run.
-	helper, parked *airframeHelper
+	// helper is set while a pipelined RunContext (see airframe.go) steps
+	// the airframes on its helper goroutine, and nil otherwise.
+	helper *airframeHelper
 }
 
 // Members returns the fleet, leader first. The slice is owned by the

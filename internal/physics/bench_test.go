@@ -17,6 +17,33 @@ func BenchmarkQuadStep(b *testing.B) {
 	}
 }
 
+func BenchmarkQuatIntegrate(b *testing.B) {
+	q := IdentityQuat()
+	omega := Vec3{X: 0.1, Y: -0.2, Z: 0.05}
+	for i := 0; i < b.N; i++ {
+		q = q.Integrate(omega, 0.0001)
+	}
+	_ = q
+}
+
+func BenchmarkQuatRotate(b *testing.B) {
+	q := FromEuler(0.1, 0.2, 0.3)
+	v := Vec3{1, 2, 3}
+	var out Vec3
+	for i := 0; i < b.N; i++ {
+		out = q.Rotate(v)
+	}
+	_ = out
+}
+
+func BenchmarkWindStep(b *testing.B) {
+	n := 0.0
+	w := NewWind(0.25, 0.6, 2, func() float64 { n += 0.1; return n - 1 })
+	for i := 0; i < b.N; i++ {
+		w.Step(0.01)
+	}
+}
+
 // BenchmarkQuadStepFlying steps a maneuvering vehicle: nonzero body
 // rates, asymmetric rotor commands still spinning up, and a wind
 // disturbance, so every step runs the full rotor, torque and attitude
