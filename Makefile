@@ -55,12 +55,15 @@ golden:
 golden-update:
 	$(GO) test -run TestGoldenTraces -update .
 
-# Short local fuzz pass over the decoder and the receive rings.
+# Short local fuzz pass over the decoders, the receive rings and the
+# service's request and journal decoders.
 fuzz:
 	$(GO) test ./internal/mavlink -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 30s
 	$(GO) test ./internal/mavlink -run '^$$' -fuzz FuzzDecodeMessages -fuzztime 15s
 	$(GO) test ./internal/netsim -run '^$$' -fuzz 'FuzzRecv$$' -fuzztime 30s
 	$(GO) test ./internal/netsim -run '^$$' -fuzz 'FuzzRecvMultiEndpoint$$' -fuzztime 30s
+	$(GO) test ./service -run '^$$' -fuzz 'FuzzCampaignRequest$$' -fuzztime 15s
+	$(GO) test ./service -run '^$$' -fuzz 'FuzzJournalReplay$$' -fuzztime 15s
 
 fmt:
 	gofmt -l .

@@ -31,9 +31,9 @@ func flyLoop(t *testing.T, c *Cascade, sp Setpoint, start physics.Vec3, seconds 
 		if i%ctlEvery == 0 {
 			us := uint64(sec * 1e6)
 			in := Inputs{
-				IMU:  suite.SampleIMU(q, us),
-				GPS:  suite.SampleGPS(q, us),
-				Baro: suite.SampleBaro(q, us),
+				IMU:  suite.SampleIMU(q.State, q.Params.Gravity, us),
+				GPS:  suite.SampleGPS(q.State, us),
+				Baro: suite.SampleBaro(q.State, us),
 				RC:   sensors.RCReading{TimeUS: us, Mode: sensors.ModePosition, Throttle: 0.5},
 			}
 			q.SetMotors(c.Compute(&in, sp))
@@ -100,8 +100,8 @@ func TestSafetyControllerRecoversFromUpset(t *testing.T) {
 		if i%40 == 0 { // 250 Hz
 			us := uint64(sec * 1e6)
 			in := Inputs{
-				IMU: suite.SampleIMU(q, us), GPS: suite.SampleGPS(q, us),
-				Baro: suite.SampleBaro(q, us),
+				IMU: suite.SampleIMU(q.State, q.Params.Gravity, us), GPS: suite.SampleGPS(q.State, us),
+				Baro: suite.SampleBaro(q.State, us),
 				RC:   sensors.RCReading{TimeUS: us, Mode: sensors.ModePosition},
 			}
 			q.SetMotors(c.Compute(&in, sp))
@@ -169,7 +169,7 @@ func TestManualMode(t *testing.T) {
 		if i%40 == 0 {
 			us := uint64(sec * 1e6)
 			in := Inputs{
-				IMU: suite.SampleIMU(q, us), GPS: suite.SampleGPS(q, us),
+				IMU: suite.SampleIMU(q.State, q.Params.Gravity, us), GPS: suite.SampleGPS(q.State, us),
 				RC: sensors.RCReading{TimeUS: us, Mode: sensors.ModeManual, Pitch: 0.3, Throttle: 0.55},
 			}
 			q.SetMotors(c.Compute(&in, Setpoint{}))

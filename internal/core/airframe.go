@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"containerdrone/internal/physics"
 	"containerdrone/internal/sim"
@@ -14,16 +15,22 @@ import (
 // The airframe helper flies every member's quadrotor on a second
 // goroutine while the engine runs the flight computer, mirroring the
 // paper's split: the vehicle and the computer touch only through
-// sensors and actuators. The engine issues one physics step per tick
-// and queues every actuator write (PWM motor commands, wind
-// disturbance, rotor efficiency) stamped with the first step that must
-// see it; the helper trails the engine, applying each write just
-// before its step exactly as the inline physics proc would have seen
-// it. Before the engine reads an airframe (sensor samples, telemetry,
-// snapshots) it waits until the helper has flown every issued step.
-// It also waits before every trace event and hook call, and reports
-// any crash the helper flew first, at the tick it happened, so traces,
-// logs and observer callbacks keep the inline order byte for byte.
+// sensors and actuators. The helper flies ahead of the engine up to a
+// fence, the first step an airframe write could still land on: the
+// earliest possible completion of any member's PWM driver job, the
+// next fire of any proc that writes an airframe (wind, rotor decay),
+// the next one-shot, the next context poll or oversubscription check
+// and the run's end — the conservative lookahead of parallel
+// discrete-event simulation. Every write (PWM motor commands, wind
+// disturbance, rotor efficiency) is queued stamped with the first step
+// that must see it, and the helper applies it just before that step,
+// exactly as the inline physics proc would have seen it. The helper records each flown step's rigid-body
+// state in a small ring, so a reader (sensor samples, telemetry) waits
+// only until the helper has flown every step the engine has reached
+// and then reads the state of that step. The engine also syncs before
+// every trace event and hook call, and reports a crash the helper flew
+// only once its tick has passed the crash step, so traces, logs and
+// observer callbacks keep the inline order byte for byte.
 //
 // Only System.RunContext pipelines, and only while the process has a
 // spare P for the helper: every flight in progress holds one P and
@@ -31,17 +38,17 @@ import (
 // total within GOMAXPROCS. Campaign and service workers fly through
 // RunContextInto/ResumeContextInto, already keep every core busy, and
 // step the airframe inline. A pipelined flight that later finds the
-// process oversubscribed (other flights started after it) stops its
-// helper and finishes inline, so its spinning never takes a core from
-// another flight.
+// process oversubscribed (other flights started after it) drops its
+// helper at the check, where the fence has held it, and finishes
+// inline, so its spinning never takes a core from another flight.
 
 // flightPs counts the Ps that flights hold: one per System in flight
 // plus one per airframe helper.
 var flightPs atomic.Int32
 
-// fly advances the System to the absolute tick end (or Stop, or
-// cancellation). With withHelper set it may fly the airframes on a
-// helper goroutine, if a spare P is free.
+// fly advances the System to the absolute tick end (or cancellation).
+// With withHelper set it may fly the airframes on a helper goroutine,
+// if a spare P is free.
 func (s *System) fly(ctx context.Context, end int64, withHelper bool) error {
 	flightPs.Add(1)
 	defer flightPs.Add(-1)
@@ -96,11 +103,20 @@ type airframeInput struct {
 // for the helper. A power of two, so indices may wrap.
 const inputSlots = 64
 
-// publishEvery is how many issued steps the engine batches before it
-// hands them to the helper. Each hand-off is a cross-core store, so
-// handing off every tick costs more than the helper trailing a few
-// ticks further behind.
-const publishEvery = 4
+// stateSlots is the length of the ring of flown states, and so bounds
+// how far the helper may lead the engine. A power of two, so step
+// counts may wrap.
+const stateSlots = 64
+
+// stateSlot is one ring entry: a member's state after some number of
+// flown steps, and that number, stored after the state, so an engine
+// waiting for a step polls the memory it then reads. Each slot fills
+// two cache lines of its own.
+type stateSlot struct {
+	state physics.State
+	flown atomic.Uint32
+	_     [128 - unsafe.Sizeof(physics.State{}) - 4]byte
+}
 
 // waitSpins is how many times a waiting side polls before it starts
 // yielding its P; with a single P, polling cannot see the other side
@@ -115,17 +131,30 @@ const (
 // side's stores do not evict the other side's hot data.
 type cacheLine [64]byte
 
-// airframeHelper is the shared state of one pipelined run. Progress is
-// exchanged as packed words, steps in the high half and queued inputs
-// in the low half, so one atomic store publishes both.
+// helperCrash is one member's crash as the helper flew it.
+type helperCrash struct {
+	// step is the run step the airframe crashed in, or -1; the helper
+	// stores it after at.
+	step atomic.Int64
+	// at is the airframe's crash time in seconds.
+	at float64
+	// reported is engine side: the crash has been reported.
+	reported bool
+}
+
+// airframeHelper is the shared state of one pipelined run. The engine
+// publishes the fence and the inputs queued as one packed word; the
+// helper reports each flown step in the state ring and the inputs it
+// has applied whenever it reaches the fence.
 type airframeHelper struct {
 	_ cacheLine
-	// req is the engine's published progress: steps issued, inputs queued.
+	// req is the engine's published word: the fence in the high half,
+	// the inputs queued in the low half.
 	req atomic.Uint64
 	_   cacheLine
-	// rep is the helper's: the req it has fully flown.
-	rep atomic.Uint64
-	_   cacheLine
+	// applied is the helper's count of inputs applied.
+	applied atomic.Uint32
+	_       cacheLine
 	// sleeping is set by an idle helper about to block on wake; stop
 	// tells it to exit.
 	sleeping atomic.Bool
@@ -134,15 +163,22 @@ type airframeHelper struct {
 
 	// Engine side.
 	issued, tail uint32
+	fence        uint32 // the fence last published
+	end          uint32 // the run's length in steps
 	published    uint64 // the last req stored
-	synced       uint64 // the last req the helper was seen to have flown
-	_            cacheLine
+	flown        uint32 // steps the helper was last seen to have flown
+	consumed     uint32 // inputs it was last seen to have applied
+	// waits and publishes count the reads that had to wait for the
+	// helper and the fences handed to it; only tests read them.
+	waits, publishes int
+	_                cacheLine
 
 	inputs [inputSlots]airframeInput
 
-	// Written by the helper, read and cleared by the engine after a
-	// sync: per member, the step it crashed at, or -1.
-	crashStep []int64
+	// states[(k%stateSlots)*len(quads)+i] is member i's state after k
+	// flown steps; the helper writes it, the engine reads it.
+	states []stateSlot
+	crash  []helperCrash
 
 	quads  []*physics.Quad
 	start  int64 // engine tick step 0 is issued at
@@ -156,22 +192,27 @@ type airframeHelper struct {
 // and releases when the helper stops. s.helper is set while the
 // airframes step on the helper and is nil once the run returns.
 func (s *System) runWithHelper(ctx context.Context, end int64) error {
+	n := len(s.drones)
 	h := &airframeHelper{
-		crashStep: make([]int64, len(s.drones)),
-		quads:     make([]*physics.Quad, len(s.drones)),
-		start:     s.Engine.Clock().Ticks(),
-		spins:     waitSpins,
-		wake:      make(chan struct{}, 1),
-		exited:    make(chan struct{}),
+		states: make([]stateSlot, stateSlots*n),
+		crash:  make([]helperCrash, n),
+		quads:  make([]*physics.Quad, n),
+		start:  s.Engine.Clock().Ticks(),
+		spins:  waitSpins,
+		wake:   make(chan struct{}, 1),
+		exited: make(chan struct{}),
 	}
+	h.end = uint32(end - h.start)
 	if runtime.GOMAXPROCS(0) == 1 {
 		h.spins = 0
 	}
 	for i, d := range s.drones {
 		h.quads[i] = d.Quad
-		h.crashStep[i] = -1
+		h.states[i].state = d.Quad.State
+		h.crash[i].step.Store(-1)
 	}
 	s.helper = h
+	h.publish(s.airframeFence(h.start-1, prioPhysics, n))
 	go h.loop()
 	defer s.dropHelper()
 	err := s.Engine.RunToTickContext(ctx, end)
@@ -181,9 +222,10 @@ func (s *System) runWithHelper(ctx context.Context, end int64) error {
 
 // issueStep runs in the leader's physics proc, which the members'
 // procs follow back to back in every tick, and hands an airframe
-// helper the whole fleet's step for this tick. A run that finds the
-// process oversubscribed first gives its helper up, and this tick and
-// every later one step inline.
+// helper the whole fleet's step for this tick, raising the fence once
+// the engine reaches it. A run that finds the process oversubscribed
+// gives its helper up, and this tick and every later one step inline;
+// the fence holds the helper to exactly the steps issued at the check.
 func (s *System) issueStep() {
 	h := s.helper
 	if h == nil {
@@ -194,12 +236,66 @@ func (s *System) issueStep() {
 		s.dropHelper()
 		return
 	}
-	h.issue()
+	h.issued++
+	if h.issued > h.fence {
+		s.raiseFence(h.start+int64(h.issued)-1, prioPhysics, len(s.drones))
+	}
 }
 
+// raiseFence publishes a new fence if it lies past the current one.
+// The arguments are airframeFence's.
+func (s *System) raiseFence(tick int64, ran, ticked int) {
+	if f := s.airframeFence(tick, ran, ticked); f > s.helper.fence {
+		s.helper.publish(f)
+	}
+}
+
+// airframeFence returns the first step the helper may not fly yet:
+// the earliest step an airframe write could still land on, or at which
+// the engine may stop. It is computed in engine tick tick once every
+// proc of priority below ran and the schedulers of the first ticked
+// members have run in it: before a pipelined run (the tick before its
+// first), in the leader's physics proc, and right after a member's PWM
+// write. The result is never below the tick's step.
+func (s *System) airframeFence(tick int64, ran, ticked int) uint32 {
+	h := s.helper
+	step := tick - h.start
+	f := min(int64(h.end), int64(h.issued)+stateSlots-1)
+	// The airframes stop where the engine may: at the next context poll
+	// (this tick's has passed), where a canceled run ends, and at the
+	// next oversubscription check, where the helper may be dropped.
+	f = min(f, roundUp(step+1, sim.CtxCheckTicks), roundUp(int64(h.issued), budgetCheckEvery))
+	// A one-shot runs after the tick's physics.
+	if at, ok := s.Engine.NextOneShot(); ok {
+		f = min(f, at+1-h.start)
+	}
+	for _, p := range s.airframeProcs {
+		at := p.NextFire()
+		switch {
+		case p.Priority() >= prioPhysics:
+			at++ // its writes land on the next tick's step
+		case at <= tick && p.Priority() < ran:
+			at = max(at+p.Period(), tick+1) // due this tick and run already
+		}
+		f = min(f, at-h.start)
+	}
+	for i, d := range s.drones {
+		next := tick
+		if i < ticked {
+			next++
+		}
+		at := d.CPU.EarliestCompletion(d.pwmTask, time.Duration(next)*sim.Tick)
+		f = min(f, int64(at/sim.Tick)-h.start)
+	}
+	return uint32(f)
+}
+
+// roundUp rounds n up to a multiple of m.
+func roundUp(n, m int64) int64 { return (n + m - 1) / m * m }
+
 // dropHelper stops the run's airframe helper, if it still has one,
-// once it has flown every issued step, and releases the helper's P;
-// the airframes step inline from then on. It reports no crash: callers
+// once it has flown up to the fence, and releases the helper's P; the
+// airframes step inline from then on. It reports no crash: callers
 // sync first unless unwinding a panic.
 func (s *System) dropHelper() {
 	h := s.helper
@@ -212,28 +308,28 @@ func (s *System) dropHelper() {
 }
 
 // syncAirframe waits for a pipelined run's helper to fly every issued
-// step and apply every queued write, then reports the crashes it flew
-// in (step, member) order — the order the inline physics procs report
-// them. Outside a pipelined run it does nothing.
+// step, then reports the crashes it flew in them in (step, member)
+// order — the order the inline physics procs report them. Outside a
+// pipelined run it does nothing.
 func (s *System) syncAirframe() {
 	h := s.helper
 	if h == nil {
 		return
 	}
-	h.wait()
+	h.await(h.issued)
 	for {
-		first := -1
-		for i, st := range h.crashStep {
-			if st >= 0 && (first < 0 || st < h.crashStep[first]) {
-				first = i
+		first, step := -1, int64(h.issued)
+		for i := range h.crash {
+			c := &h.crash[i]
+			if st := c.step.Load(); !c.reported && st >= 0 && st < step {
+				first, step = i, st
 			}
 		}
 		if first < 0 {
 			return
 		}
-		st := h.crashStep[first]
-		h.crashStep[first] = -1
-		s.drones[first].noteCrash(time.Duration(h.start+st) * sim.Tick)
+		h.crash[first].reported = true
+		s.drones[first].noteCrash(time.Duration(h.start+step)*sim.Tick, h.crash[first].at)
 	}
 }
 
@@ -244,33 +340,51 @@ func (s *System) tracef(now time.Duration, source, format string, args ...any) {
 	s.Trace.Add(now, source, format, args...)
 }
 
-// issue hands the current tick's physics step to the helper.
-func (h *airframeHelper) issue() {
-	h.issued++
-	if h.issued%publishEvery == 0 {
-		h.publish()
+// await waits until the helper has flown n steps, polling the ring
+// slot of the last member, which it writes after the others. The
+// engine syncs only for the steps issued, which the fence never lies
+// below.
+func (h *airframeHelper) await(n uint32) {
+	if h.flown >= n {
+		return
 	}
+	slot := &h.states[int(n%stateSlots+1)*len(h.quads)-1]
+	if slot.flown.Load() != n {
+		h.waits++
+		h.spin(func() bool { return slot.flown.Load() == n })
+	}
+	h.flown = n
 }
 
-// push queues a write for the next step to be issued.
+// push queues a write for the next step to be issued. The fence
+// guarantees the helper has not flown that step yet.
 func (h *airframeHelper) push(in airframeInput) {
-	if h.tail-uint32(h.synced) == inputSlots {
-		h.wait()
-	}
 	in.step = h.issued
+	if in.step < h.fence {
+		panic("core: airframe write behind the helper's fence")
+	}
+	if h.tail-h.consumed == inputSlots {
+		h.publish(h.fence)
+		h.spin(func() bool {
+			h.consumed = h.applied.Load()
+			return h.tail-h.consumed < inputSlots
+		})
+	}
 	h.inputs[h.tail%inputSlots] = in
 	h.tail++
 }
 
-// publish hands everything issued and queued so far to the helper,
+// publish hands the helper a fence and every input queued so far,
 // waking it if it has gone to sleep.
-func (h *airframeHelper) publish() {
-	v := uint64(h.issued)<<32 | uint64(h.tail)
+func (h *airframeHelper) publish(fence uint32) {
+	h.fence = fence
+	v := uint64(fence)<<32 | uint64(h.tail)
 	if v == h.published {
 		return
 	}
 	h.published = v
 	h.req.Store(v)
+	h.publishes++
 	if h.sleeping.Load() {
 		h.nudge()
 	}
@@ -285,50 +399,45 @@ func (h *airframeHelper) nudge() {
 	}
 }
 
-// wait publishes and spins until the helper has flown it all.
-func (h *airframeHelper) wait() {
-	h.publish()
-	if h.synced == h.published {
-		return
-	}
-	for spins := 0; h.rep.Load() != h.published; spins++ {
+// spin polls done until it holds, yielding the P after h.spins polls.
+func (h *airframeHelper) spin(done func() bool) {
+	for spins := 0; !done(); spins++ {
 		if spins >= h.spins {
 			runtime.Gosched()
 		}
 	}
-	h.synced = h.published
 }
 
-// close waits for the helper to finish the issued work, stops it and
-// waits for it to exit.
+// close stops the helper once it has flown to the fence and applied
+// every queued input, and waits for it to exit.
 func (h *airframeHelper) close() {
-	h.wait()
+	h.publish(h.fence)
 	h.stop.Store(true)
 	h.nudge()
 	<-h.exited
 }
 
-// loop is the helper goroutine: it flies every published step, applying
-// each queued write before the first step stamped to see it, and
-// reports the req it has caught up with.
+// loop is the helper goroutine: it flies every step below the
+// published fence, applying each queued write before the first step
+// stamped to see it.
 func (h *airframeHelper) loop() {
 	defer close(h.exited)
 	var done, head uint32
 	for {
 		req := h.req.Load()
-		issued, tail := uint32(req>>32), uint32(req)
+		fence, tail := uint32(req>>32), uint32(req)
 		for {
 			for head != tail && h.inputs[head%inputSlots].step <= done {
 				h.apply(&h.inputs[head%inputSlots])
 				head++
 			}
-			if done == issued {
+			if done == fence {
 				break
 			}
 			h.step(done)
 			done++
 		}
-		h.rep.Store(req)
+		h.applied.Store(head)
 		if !h.idle(req) {
 			return
 		}
@@ -338,14 +447,15 @@ func (h *airframeHelper) loop() {
 // idle waits for a req other than seen: spinning first, then yielding
 // the P, and after a long quiet spell (the engine in a slow observer
 // callback, say) sleeping until the engine publishes. It returns false
-// when told to stop.
+// when told to stop, once no req the engine stored before stopping it
+// is left unseen.
 func (h *airframeHelper) idle(seen uint64) bool {
 	for spins := 0; ; spins++ {
 		if h.req.Load() != seen {
 			return true
 		}
 		if h.stop.Load() {
-			return false
+			return h.req.Load() != seen
 		}
 		switch {
 		case spins >= 4*h.spins+idleYields:
@@ -375,28 +485,43 @@ func (h *airframeHelper) apply(in *airframeInput) {
 	}
 }
 
-// step flies run step k on every member, in member order.
+// step flies run step k on every member, in member order, and records
+// the states in the ring slots for k+1 flown steps.
 func (h *airframeHelper) step(k uint32) {
+	row := h.states[int((k+1)%stateSlots)*len(h.quads):]
 	for i, q := range h.quads {
 		was, _ := q.Crashed()
 		q.Step(physDT)
-		if now, _ := q.Crashed(); now && !was {
-			h.crashStep[i] = int64(k)
+		if now, at := q.Crashed(); now && !was {
+			c := &h.crash[i]
+			c.at = at
+			c.step.Store(int64(k))
 		}
+		row[i].state = q.State
+		row[i].flown.Store(k + 1)
 	}
 }
 
-// quad returns the member's airframe for reading, synced first in a
-// pipelined run.
-func (d *Drone) quad() *physics.Quad {
+// state returns the member's airframe state at the engine's current
+// step: the live state inline, or the helper's record of it in a
+// pipelined run, synced first.
+func (d *Drone) state() physics.State {
+	h := d.sys.helper
+	if h == nil {
+		return d.Quad.State
+	}
 	d.sys.syncAirframe()
-	return d.Quad
+	return h.states[int(h.issued%stateSlots)*len(h.quads)+d.idx].state
 }
 
-// setMotors applies a PWM command to the member's rotors.
+// setMotors applies a PWM command to the member's rotors. Only the
+// member's PWM driver calls it, in its scheduler's tick; a pipelined
+// run then raises the fence at once, so the helper flies on while the
+// rest of the tick runs.
 func (d *Drone) setMotors(u [4]float64) {
 	if h := d.sys.helper; h != nil {
 		h.push(airframeInput{member: uint8(d.idx), kind: inMotors, v: [6]float64{u[0], u[1], u[2], u[3]}})
+		d.sys.raiseFence(h.start+int64(h.issued), prioSched, d.idx+1)
 		return
 	}
 	d.Quad.SetMotors(u)
@@ -422,13 +547,9 @@ func (d *Drone) setRotorEfficiency(rotor int, e float64) {
 }
 
 // noteCrash reports a crash of the member's airframe flown at engine
-// time now — flight-log mark, trace event, OnCrash hook — once per
-// flight.
-func (d *Drone) noteCrash(now time.Duration) {
-	crashed, at := d.Quad.Crashed()
-	if !crashed {
-		return
-	}
+// time now, with the airframe's crash time at in seconds — flight-log
+// mark, trace event, OnCrash hook — once per flight.
+func (d *Drone) noteCrash(now time.Duration, at float64) {
 	if already, _ := d.Log.Crashed(); already {
 		return
 	}

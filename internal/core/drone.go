@@ -88,6 +88,7 @@ type Drone struct {
 
 	complexTask *sched.Task
 	recvTask    *sched.Task
+	pwmTask     *sched.Task // the only task that writes the airframe
 	flood       *attack.Flood
 
 	// MAVLink replay capture: when a fault plan taps this member, the
@@ -160,10 +161,9 @@ func (s *System) comp(idx int, name string) string {
 // streams from it in member order, after the shared fabric stream.
 func newDrone(s *System, idx int, rng *sim.RNG) (*Drone, error) {
 	cfg := s.Cfg
-	logCap := 0
-	if cfg.TelemetryRate > 0 {
-		logCap = int(cfg.Duration.Seconds()*cfg.TelemetryRate) + 1
-	}
+	// Presize the log for the whole flight, up to a bound: a request
+	// for an absurdly long flight must not allocate its log up front.
+	logCap := int(min(cfg.Duration.Seconds()*cfg.TelemetryRate+1, maxLogPrealloc))
 	d := &Drone{
 		sys:      s,
 		idx:      idx,
@@ -366,7 +366,7 @@ func (d *Drone) buildHCETasks() {
 		Period: 4 * time.Millisecond, WCET: 300 * time.Microsecond,
 		AccessRate: 15e6, MemBound: 0.6,
 		Work: func(now time.Duration) {
-			d.lastIMU = d.suite.SampleIMU(d.quad(), nowUS(now))
+			d.lastIMU = d.suite.SampleIMU(d.state(), d.Quad.Params.Gravity, nowUS(now))
 			d.hostEst.FeedIMU(d.lastIMU)
 			var p []byte
 			d.sendPayload, p = mavlink.AppendIMU(d.sendPayload[:0], d.lastIMU)
@@ -379,7 +379,7 @@ func (d *Drone) buildHCETasks() {
 		Period: 20 * time.Millisecond, WCET: 120 * time.Microsecond,
 		AccessRate: 5e6, MemBound: 0.5,
 		Work: func(now time.Duration) {
-			d.lastBaro = d.suite.SampleBaro(d.quad(), nowUS(now))
+			d.lastBaro = d.suite.SampleBaro(d.state(), nowUS(now))
 			var p []byte
 			d.sendPayload, p = mavlink.AppendBaro(d.sendPayload[:0], d.lastBaro)
 			d.sendToCCE(d.baroStream, mavlink.MsgIDBaro, p)
@@ -391,7 +391,7 @@ func (d *Drone) buildHCETasks() {
 		Period: 100 * time.Millisecond, WCET: 150 * time.Microsecond,
 		AccessRate: 5e6, MemBound: 0.5,
 		Work: func(now time.Duration) {
-			d.lastGPS = d.suite.SampleGPS(d.quad(), nowUS(now))
+			d.lastGPS = d.suite.SampleGPS(d.state(), nowUS(now))
 			d.hostEst.FeedFix(d.lastGPS)
 			var p []byte
 			d.sendPayload, p = mavlink.AppendGPS(d.sendPayload[:0], d.lastGPS)
@@ -411,7 +411,7 @@ func (d *Drone) buildHCETasks() {
 		},
 	})
 	// PWM output: applies the selected actuator command to the ESCs.
-	d.CPU.Add(&sched.Task{
+	d.pwmTask = d.CPU.Add(&sched.Task{
 		Name: "drv-pwm", Core: CoreDriver, Priority: sched.PrioDriver,
 		Period: 2500 * time.Microsecond, WCET: 150 * time.Microsecond,
 		AccessRate: 8e6, MemBound: 0.5,
@@ -628,15 +628,16 @@ func (d *Drone) buildHostComplexController() {
 // member-order execution.
 func (d *Drone) buildEngineProcs() {
 	s := d.sys
-	s.Engine.Register(s.comp(d.idx, "sched"), sim.Tick, 10, sim.ProcFunc(func(now time.Duration) {
+	s.Engine.Register(s.comp(d.idx, "sched"), sim.Tick, prioSched, sim.ProcFunc(func(now time.Duration) {
 		d.CPU.Tick(now)
 	}))
 	if d.wind != nil {
-		s.Engine.Register(s.comp(d.idx, "wind"), 10*time.Millisecond, 19, sim.ProcFunc(func(now time.Duration) {
-			d.setDisturbance(d.wind.Step(0.01), physics.Vec3{})
-		}))
+		s.airframeProcs = append(s.airframeProcs,
+			s.Engine.Register(s.comp(d.idx, "wind"), 10*time.Millisecond, 19, sim.ProcFunc(func(now time.Duration) {
+				d.setDisturbance(d.wind.Step(0.01), physics.Vec3{})
+			})))
 	}
-	s.Engine.Register(s.comp(d.idx, "physics"), sim.Tick, 20, sim.ProcFunc(func(now time.Duration) {
+	s.Engine.Register(s.comp(d.idx, "physics"), sim.Tick, prioPhysics, sim.ProcFunc(func(now time.Duration) {
 		// The leader's proc hands an airframe helper the whole fleet's
 		// step; the other members' procs then have nothing to do.
 		if d.idx == 0 {
@@ -646,12 +647,14 @@ func (d *Drone) buildEngineProcs() {
 			return
 		}
 		d.Quad.Step(physDT)
-		d.noteCrash(now)
+		if crashed, at := d.Quad.Crashed(); crashed {
+			d.noteCrash(now, at)
+		}
 	}))
 	period := time.Duration(float64(time.Second) / s.Cfg.TelemetryRate)
 	s.Engine.Register(s.comp(d.idx, "telemetry"), period, 30, sim.ProcFunc(func(now time.Duration) {
-		q := d.quad()
-		roll, pitch, yaw := q.State.RollPitchYaw()
+		st := d.state()
+		roll, pitch, yaw := st.RollPitchYaw()
 		src := "complex"
 		if !s.Cfg.ComplexInContainer {
 			src = "host"
@@ -663,7 +666,7 @@ func (d *Drone) buildEngineProcs() {
 			sp = d.holdSP
 		}
 		sample := telemetry.Sample{
-			Time: now, Setpoint: sp, Position: q.State.Pos,
+			Time: now, Setpoint: sp, Position: st.Pos,
 			Roll: roll, Pitch: pitch, Yaw: yaw, Source: src,
 		}
 		d.Log.Add(sample)

@@ -35,7 +35,10 @@ func (s *System) scheduleFaults() {
 		if inj == nil {
 			continue
 		}
-		fault.Arm(s.Engine, name, s.Cfg.Duration, sp, inj, stepPeriod)
+		h := fault.Arm(s.Engine, name, s.Cfg.Duration, sp, inj, stepPeriod)
+		if sp.Kind == fault.KindRotorDecay {
+			s.airframeProcs = append(s.airframeProcs, h)
+		}
 	}
 	// Capture legitimate motor frames ahead of each replay window, on
 	// the member the adversary taps (Spec.FromMember). Each tapped

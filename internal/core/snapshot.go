@@ -175,7 +175,10 @@ func (d *Drone) snapshotInto(ms *memberSnap) {
 	d.Guard.SnapshotInto(&ms.guard)
 	d.Runtime.NAT().SnapshotInto(&ms.nat)
 
-	ms.quad = *d.quad()
+	if d.sys.helper != nil {
+		panic("core: snapshot while the airframes fly on a helper")
+	}
+	ms.quad = *d.Quad
 	ms.haveWind = d.wind != nil
 	if d.wind != nil {
 		d.wind.SnapshotInto(&ms.wind)

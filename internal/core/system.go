@@ -20,6 +20,17 @@ import (
 // physDT is the physics integration step (one engine tick).
 const physDT = 0.0001
 
+// maxLogPrealloc bounds the flight-log samples New allocates up front.
+const maxLogPrealloc = 1 << 16
+
+// prioSched and prioPhysics order the schedulers and the physics procs
+// within a tick: schedulers after fault steppers (5), physics after
+// wind (19) and before telemetry (30).
+const (
+	prioSched   = 10
+	prioPhysics = 20
+)
+
 // hceHost is the leader host's identity on the simulated bridge (and
 // the only host of a single-drone System).
 const hceHost = "hce"
@@ -38,10 +49,11 @@ type StreamStat struct {
 // switches, crashes) without the deterministic kernel knowing about
 // its consumers. Hooks are invoked synchronously from the engine
 // loop, on the run's goroutine, in simulated-time order; with an
-// airframe helper the engine syncs with it before each call, so a
-// crash lands among the other calls exactly where an inline run puts
-// it. In a swarm, OnSample fires for the leader's telemetry only;
-// OnViolation/OnSwitch/OnCrash fire for every member.
+// airframe helper the engine syncs with it before each call and
+// reports a crash the helper flew ahead only once the engine's tick
+// reaches it, so the crash lands among the other calls exactly where
+// an inline run puts it. In a swarm, OnSample fires for the leader's
+// telemetry only; OnViolation/OnSwitch/OnCrash fire for every member.
 type Hooks struct {
 	// OnSample fires at the telemetry rate with each recorded sample.
 	OnSample func(now time.Duration, s telemetry.Sample)
@@ -70,8 +82,9 @@ type Hooks struct {
 // A run is deterministic: the engine runs the flight computer on the
 // calling goroutine, and the only concurrency inside a run is one
 // optional airframe helper (airframe.go) that RunContext starts when a
-// spare P exists. It integrates the airframes and meets the engine at
-// the sensor/actuator boundary, so the run is byte-identical to an
+// spare P exists. It integrates the airframes ahead of the engine, up
+// to a fence no actuator write can land behind, and meets the engine
+// at the sensor/actuator boundary, so the run is byte-identical to an
 // inline one. Distinct Systems share no mutable state: every substrate
 // (engine, CPUs, buses, network, RNG streams, logs) is owned by the
 // instance, and the only package-level data in the dependency graph
@@ -133,6 +146,9 @@ type System struct {
 	// helper is set while a pipelined RunContext (see airframe.go) steps
 	// the airframes on its helper goroutine, and nil otherwise.
 	helper *airframeHelper
+	// airframeProcs are the engine procs besides physics that write an
+	// airframe (wind, rotor decay); they bound the helper's fence.
+	airframeProcs []sim.Handle
 }
 
 // Members returns the fleet, leader first. The slice is owned by the
@@ -149,6 +165,9 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.BusCapacity <= 0 {
 		return nil, fmt.Errorf("core: non-positive bus capacity %v", cfg.BusCapacity)
+	}
+	if !(cfg.TelemetryRate > 0 && cfg.TelemetryRate <= 1/sim.Tick.Seconds()) {
+		return nil, fmt.Errorf("core: telemetry rate %v Hz outside (0, %v]", cfg.TelemetryRate, 1/sim.Tick.Seconds())
 	}
 	if cfg.Drones < 0 || cfg.Drones > MaxDrones {
 		return nil, fmt.Errorf("core: drone count %d outside [1, %d]", cfg.Drones, MaxDrones)

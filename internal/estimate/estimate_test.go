@@ -176,10 +176,10 @@ func TestTracksNoisyHover(t *testing.T) {
 	for i := 0; i < 100000; i++ { // 10 s
 		us := uint64(float64(i) * dt * 1e6)
 		if i%40 == 0 { // 250 Hz IMU
-			f.FeedIMU(suite.SampleIMU(q, us))
+			f.FeedIMU(suite.SampleIMU(q.State, q.Params.Gravity, us))
 		}
 		if i%10000 == 0 { // 10 Hz fix
-			f.FeedFix(suite.SampleGPS(q, us))
+			f.FeedFix(suite.SampleGPS(q.State, us))
 		}
 		q.Step(dt)
 	}

@@ -219,8 +219,20 @@ func (s Spec) Validate() error {
 	if s.Kind == KindRotorDecay && s.Magnitude > 1 {
 		return fmt.Errorf("fault: rotor-decay efficiency loss %v exceeds 1", s.Magnitude)
 	}
+	if s.Kind == KindMAVReplay && (s.Magnitude > maxReplayCapture || s.Rate > float64(maxReplayRate)) {
+		return fmt.Errorf("fault: mav-replay capture %v frames / rate %v frames/s exceeds %d / %d",
+			s.Magnitude, s.Rate, maxReplayCapture, maxReplayRate)
+	}
 	return nil
 }
+
+// maxReplayCapture and maxReplayRate bound a mav-replay: the capture
+// buffer is allocated when the scenario is built, and the replay
+// injects at most one frame per engine tick.
+const (
+	maxReplayCapture = 1 << 16
+	maxReplayRate    = time.Second / sim.Tick
+)
 
 // Validate checks every spec in the plan.
 func (p Plan) Validate() error {
@@ -331,9 +343,10 @@ const stepProcPriority = 5
 
 // Arm schedules one injector on the engine for the spec's window. A
 // positive stepPeriod registers a periodic Step process that is
-// enabled only while the window is open; zero arms Begin/End alone.
-// Arm must be called at build time (the engine's registration phase).
-func Arm(e *sim.Engine, name string, runDur time.Duration, sp Spec, inj Injector, stepPeriod time.Duration) {
+// enabled only while the window is open, and returns its handle; zero
+// arms Begin/End alone and returns the zero Handle. Arm must be called
+// at build time (the engine's registration phase).
+func Arm(e *sim.Engine, name string, runDur time.Duration, sp Spec, inj Injector, stepPeriod time.Duration) sim.Handle {
 	var h sim.Handle
 	stepping := stepPeriod > 0
 	if stepping {
@@ -354,6 +367,7 @@ func Arm(e *sim.Engine, name string, runDur time.Duration, sp Spec, inj Injector
 			inj.End(now)
 		})
 	}
+	return h
 }
 
 // PrioInversion returns the scheduler-starvation injector's task: a

@@ -325,6 +325,25 @@ func (c *CPU) Tick(now time.Duration) {
 	}
 }
 
+// EarliestCompletion returns a lower bound on the time of the tick at
+// which t's Work runs next, given that the CPU's next Tick is at next.
+// A job progresses at most one tick of work per tick, so an active job
+// needs at least ceil(remaining/tick) more ticks and a pending one
+// ceil(WCET/tick) from its release. Preemption, bus contention and
+// MemGuard throttling only delay a job, so the bound holds whatever
+// else runs. A busy-loop task never completes.
+func (c *CPU) EarliestCompletion(t *Task, next time.Duration) time.Duration {
+	if t.Busy() {
+		return neverDue
+	}
+	start, work := next, t.remaining
+	if !t.active {
+		start, work = max(t.nextRelease, next), t.WCET
+	}
+	ticks := (work + c.tick - 1) / c.tick
+	return start + (max(ticks, 1)-1)*c.tick
+}
+
 // Running returns the task currently occupying a core, or nil.
 func (c *CPU) Running(core int) *Task { return c.running[core] }
 

@@ -1,9 +1,14 @@
 package sched
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"containerdrone/internal/membw"
+	"containerdrone/internal/memguard"
 )
 
 // Property: work conservation — over any horizon, a core's busy ticks
@@ -87,6 +92,66 @@ func TestPriorityIsolationProperty(t *testing.T) {
 		return mk(true) == mk(false)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: EarliestCompletion is a true lower bound. Over random task
+// sets with equal-priority FIFO ties, bus contention, MemGuard
+// throttling and higher-priority tasks arriving mid-run, every bound
+// computed before a tick is no later than the task's next completion.
+func TestEarliestCompletionBoundProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const cores = 2
+		bus := membw.NewBus(cores, 2e4+rng.Float64()*4e4, tick)
+		guard := memguard.New(cores)
+		guard.SetEnabled(true)
+		guard.SetBudget(1, 50+rng.Float64()*400)
+		c := NewCPU(cores, tick, bus, guard)
+
+		// bound[t] is the latest bound computed since t last completed.
+		bound := map[*Task]time.Duration{}
+		ok := true
+		var now time.Duration
+		add := func(name string, prio int) {
+			period := time.Duration(rng.Intn(40)+2) * tick
+			task := &Task{
+				Name: name, Core: rng.Intn(cores), Priority: prio,
+				Period:     period,
+				WCET:       time.Duration(1 + rng.Int63n(int64(period))),
+				AccessRate: rng.Float64() * 4e7, MemBound: rng.Float64(),
+			}
+			task.Work = func(at time.Duration) {
+				if b, seen := bound[task]; seen && at < b {
+					ok = false
+				}
+				delete(bound, task)
+			}
+			c.Add(task)
+		}
+		for i := 0; i < 3+rng.Intn(4); i++ {
+			add(fmt.Sprintf("t%d", i), 10*(1+rng.Intn(3))) // equal priorities are common
+		}
+		if rng.Intn(2) == 0 {
+			c.Add(&Task{Name: "hog", Core: rng.Intn(cores), Priority: 5, AccessRate: 3e7, MemBound: 0.8})
+		}
+		arrival := int64(500 + rng.Intn(1000))
+		for i := int64(0); i < 3000 && ok; i++ {
+			now = time.Duration(i) * tick
+			if i == arrival {
+				add("late", 90) // preempts everything already there
+			}
+			for _, task := range c.Tasks() {
+				if b := c.EarliestCompletion(task, now); b > bound[task] {
+					bound[task] = b
+				}
+			}
+			c.Tick(now)
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

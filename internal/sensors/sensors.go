@@ -124,7 +124,7 @@ type Faults struct {
 	BaroFrozen bool
 }
 
-// Suite samples a physics.Quad into sensor readings.
+// Suite samples an airframe's rigid-body state into sensor readings.
 type Suite struct {
 	Noise Noise
 	norm  NormSource
@@ -183,27 +183,27 @@ func (s *Suite) n(sigma float64) float64 {
 	return sigma * s.norm()
 }
 
-// SampleIMU reads the inertial state at the given time.
-func (s *Suite) SampleIMU(q *physics.Quad, timeUS uint64) IMUReading {
-	st := q.State
+// SampleIMU reads the inertial state at the given time; gravity is the
+// airframe's gravitational acceleration, m/s² positive down.
+func (s *Suite) SampleIMU(st physics.State, gravity float64, timeUS uint64) IMUReading {
 	gyro := st.Omega.Add(s.Noise.GyroBias)
 	gyro = gyro.Add(s.faults.GyroBias)
 	gyro = gyro.Add(physics.Vec3{X: s.n(s.Noise.GyroSigma), Y: s.n(s.Noise.GyroSigma), Z: s.n(s.Noise.GyroSigma)})
 	// Specific force in body frame: attitude⁻¹ · (a - g), with the quad
 	// near equilibrium this is ≈ -g rotated into body.
-	gravity := physics.Vec3{Z: -q.Params.Gravity}
-	specific := st.Attitude.Conj().Rotate(gravity.Scale(-1))
+	down := physics.Vec3{Z: -gravity}
+	specific := st.Attitude.Conj().Rotate(down.Scale(-1))
 	specific = specific.Add(physics.Vec3{X: s.n(s.Noise.AccelSigma), Y: s.n(s.Noise.AccelSigma), Z: s.n(s.Noise.AccelSigma)})
 	return IMUReading{TimeUS: timeUS, Gyro: gyro, Accel: specific, Quat: st.Attitude}
 }
 
 // SampleBaro reads barometric altitude using the standard-atmosphere
 // pressure lapse near sea level.
-func (s *Suite) SampleBaro(q *physics.Quad, timeUS uint64) BaroReading {
+func (s *Suite) SampleBaro(st physics.State, timeUS uint64) BaroReading {
 	if s.faults.BaroFrozen && s.haveBaro {
 		return s.lastBaro // wedged driver: stale reading, stale timestamp
 	}
-	alt := q.State.Pos.Z + s.n(s.Noise.BaroSigma)
+	alt := st.Pos.Z + s.n(s.Noise.BaroSigma)
 	const p0 = 101325.0 // Pa
 	pressure := p0 * (1 - 2.25577e-5*alt)
 	r := BaroReading{TimeUS: timeUS, Pressure: pressure, AltM: alt, TempC: 22.0}
@@ -212,9 +212,9 @@ func (s *Suite) SampleBaro(q *physics.Quad, timeUS uint64) BaroReading {
 }
 
 // SampleGPS reads the Vicon/GPS position fix.
-func (s *Suite) SampleGPS(q *physics.Quad, timeUS uint64) GPSReading {
-	pos := q.State.Pos.Add(s.faults.GPSOffset)
+func (s *Suite) SampleGPS(st physics.State, timeUS uint64) GPSReading {
+	pos := st.Pos.Add(s.faults.GPSOffset)
 	pos = pos.Add(physics.Vec3{X: s.n(s.Noise.PosSigma), Y: s.n(s.Noise.PosSigma), Z: s.n(s.Noise.PosSigma)})
-	vel := q.State.Vel.Add(physics.Vec3{X: s.n(s.Noise.VelSigma), Y: s.n(s.Noise.VelSigma), Z: s.n(s.Noise.VelSigma)})
+	vel := st.Vel.Add(physics.Vec3{X: s.n(s.Noise.VelSigma), Y: s.n(s.Noise.VelSigma), Z: s.n(s.Noise.VelSigma)})
 	return GPSReading{TimeUS: timeUS, Pos: pos, Vel: vel, NumSats: 12, FixOK: true}
 }

@@ -8,34 +8,39 @@ import (
 	"containerdrone/internal/sim"
 )
 
-func testQuad() *physics.Quad {
-	q := physics.NewQuad(physics.DefaultParams())
-	q.State.Pos = physics.Vec3{X: 0.5, Y: -0.3, Z: 1.2}
-	q.State.Vel = physics.Vec3{X: 0.1}
-	return q
+// gravity is the prototype airframe's, m/s².
+var gravity = physics.DefaultParams().Gravity
+
+// testState is a level, slowly moving airframe 1.2 m up.
+func testState() physics.State {
+	return physics.State{
+		Pos:      physics.Vec3{X: 0.5, Y: -0.3, Z: 1.2},
+		Vel:      physics.Vec3{X: 0.1},
+		Attitude: physics.IdentityQuat(),
+	}
 }
 
 func TestNoiseFreeIMUMatchesTruth(t *testing.T) {
 	s := NewSuite(Noise{}, nil)
-	q := testQuad()
-	q.State.Omega = physics.Vec3{X: 0.2, Y: -0.1, Z: 0.05}
-	r := s.SampleIMU(q, 123)
+	st := testState()
+	st.Omega = physics.Vec3{X: 0.2, Y: -0.1, Z: 0.05}
+	r := s.SampleIMU(st, gravity, 123)
 	if r.TimeUS != 123 {
 		t.Fatalf("TimeUS = %d", r.TimeUS)
 	}
-	if r.Gyro != q.State.Omega {
-		t.Fatalf("noise-free gyro = %v, want %v", r.Gyro, q.State.Omega)
+	if r.Gyro != st.Omega {
+		t.Fatalf("noise-free gyro = %v, want %v", r.Gyro, st.Omega)
 	}
-	if r.Quat != q.State.Attitude {
+	if r.Quat != st.Attitude {
 		t.Fatal("attitude estimate differs from truth in noise-free suite")
 	}
 }
 
 func TestIMULevelAccelIsGravityReaction(t *testing.T) {
 	s := NewSuite(Noise{}, nil)
-	q := testQuad()
-	r := s.SampleIMU(q, 0)
-	if math.Abs(r.Accel.Z-q.Params.Gravity) > 1e-9 {
+	st := testState()
+	r := s.SampleIMU(st, gravity, 0)
+	if math.Abs(r.Accel.Z-gravity) > 1e-9 {
 		t.Fatalf("level specific force Z = %v, want +g", r.Accel.Z)
 	}
 	if math.Abs(r.Accel.X) > 1e-9 || math.Abs(r.Accel.Y) > 1e-9 {
@@ -46,8 +51,8 @@ func TestIMULevelAccelIsGravityReaction(t *testing.T) {
 func TestIMUGyroBiasApplied(t *testing.T) {
 	n := Noise{GyroBias: physics.Vec3{X: 0.01}}
 	s := NewSuite(n, nil)
-	q := testQuad()
-	r := s.SampleIMU(q, 0)
+	st := testState()
+	r := s.SampleIMU(st, gravity, 0)
 	if math.Abs(r.Gyro.X-0.01) > 1e-12 {
 		t.Fatalf("gyro bias missing: %v", r.Gyro.X)
 	}
@@ -55,8 +60,8 @@ func TestIMUGyroBiasApplied(t *testing.T) {
 
 func TestBaroAltitude(t *testing.T) {
 	s := NewSuite(Noise{}, nil)
-	q := testQuad()
-	r := s.SampleBaro(q, 7)
+	st := testState()
+	r := s.SampleBaro(st, 7)
 	if math.Abs(r.AltM-1.2) > 1e-9 {
 		t.Fatalf("baro alt = %v, want 1.2", r.AltM)
 	}
@@ -67,10 +72,10 @@ func TestBaroAltitude(t *testing.T) {
 
 func TestBaroPressureDecreasesWithAltitude(t *testing.T) {
 	s := NewSuite(Noise{}, nil)
-	q := testQuad()
-	low := s.SampleBaro(q, 0)
-	q.State.Pos.Z = 50
-	high := s.SampleBaro(q, 1)
+	st := testState()
+	low := s.SampleBaro(st, 0)
+	st.Pos.Z = 50
+	high := s.SampleBaro(st, 1)
 	if high.Pressure >= low.Pressure {
 		t.Fatal("pressure did not decrease with altitude")
 	}
@@ -78,9 +83,9 @@ func TestBaroPressureDecreasesWithAltitude(t *testing.T) {
 
 func TestGPSTracksPosition(t *testing.T) {
 	s := NewSuite(Noise{}, nil)
-	q := testQuad()
-	r := s.SampleGPS(q, 9)
-	if r.Pos != q.State.Pos || r.Vel != q.State.Vel {
+	st := testState()
+	r := s.SampleGPS(st, 9)
+	if r.Pos != st.Pos || r.Vel != st.Vel {
 		t.Fatalf("noise-free GPS differs from truth: %+v", r)
 	}
 	if !r.FixOK || r.NumSats < 4 {
@@ -91,21 +96,21 @@ func TestGPSTracksPosition(t *testing.T) {
 func TestNoisyGPSStaysNearTruth(t *testing.T) {
 	rng := sim.NewRNG(1)
 	s := NewSuite(DefaultNoise(), rng.Norm)
-	q := testQuad()
+	st := testState()
 	for i := 0; i < 1000; i++ {
-		r := s.SampleGPS(q, uint64(i))
-		if r.Pos.Sub(q.State.Pos).Norm() > 0.02 {
-			t.Fatalf("Vicon-grade noise moved fix by %v m", r.Pos.Sub(q.State.Pos).Norm())
+		r := s.SampleGPS(st, uint64(i))
+		if r.Pos.Sub(st.Pos).Norm() > 0.02 {
+			t.Fatalf("Vicon-grade noise moved fix by %v m", r.Pos.Sub(st.Pos).Norm())
 		}
 	}
 }
 
 func TestNoiseIsDeterministic(t *testing.T) {
-	q := testQuad()
+	st := testState()
 	a := NewSuite(DefaultNoise(), sim.NewRNG(5).Norm)
 	b := NewSuite(DefaultNoise(), sim.NewRNG(5).Norm)
 	for i := 0; i < 100; i++ {
-		ra, rb := a.SampleIMU(q, uint64(i)), b.SampleIMU(q, uint64(i))
+		ra, rb := a.SampleIMU(st, gravity, uint64(i)), b.SampleIMU(st, gravity, uint64(i))
 		if ra != rb {
 			t.Fatal("same-seed sensor suites diverged")
 		}

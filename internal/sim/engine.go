@@ -109,7 +109,6 @@ type Engine struct {
 	due       []*procEntry // per-Step scratch, reused across ticks
 	oneShots  oneShotHeap
 	seq       int64
-	stopped   bool
 
 	// The build-time one-shot schedule recorded by Checkpoint, which
 	// Seek re-arms: one-shots are consumed as they fire, so the pending
@@ -183,6 +182,17 @@ func (h Handle) Enabled() bool { return h.ent.enabled }
 // Name returns the registered process name.
 func (h Handle) Name() string { return h.ent.name }
 
+// Priority returns the process's priority within a tick.
+func (h Handle) Priority() int { return h.ent.priority }
+
+// Period returns the process's period in ticks.
+func (h Handle) Period() int64 { return h.ent.period }
+
+// NextFire returns the tick the process fires at next, enabled or not;
+// during the tick it is due in, that tick, even once it has run. Only
+// processes with a period longer than one tick keep it.
+func (h Handle) NextFire() int64 { return h.ent.next }
+
 // After schedules f to run once when the clock reaches now+d,
 // at the end of that tick (after all periodic processes).
 func (e *Engine) After(d time.Duration, f func(now time.Duration)) {
@@ -204,11 +214,14 @@ func (e *Engine) pushOneShot(tick int64, f func(now time.Duration)) {
 	heap.Push(&e.oneShots, oneShot{tick: tick, seq: e.seq, fn: f})
 }
 
-// Stop ends the run at the end of the current tick.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
+// NextOneShot returns the tick of the earliest pending one-shot, and
+// false when none is pending.
+func (e *Engine) NextOneShot() (int64, bool) {
+	if len(e.oneShots) == 0 {
+		return 0, false
+	}
+	return e.oneShots[0].tick, true
+}
 
 // Step advances the simulation by one tick: runs every periodic
 // process due at this tick, then any one-shots due, then advances
@@ -292,8 +305,8 @@ func (e *Engine) Checkpoint() {
 }
 
 // EngineState is the engine's contribution to a mid-run snapshot: the
-// clock position, the stop flag, and every process's enabled flag at
-// the moment of capture. Together with the schedule Checkpoint recorded
+// clock position and every process's enabled flag at the moment of
+// capture. Together with the schedule Checkpoint recorded
 // at build time it is enough to Seek an identically built engine to the
 // same point — the pending one-shot set at any tick T is exactly the
 // checkpointed schedule filtered to fire ticks >= T, and every periodic
@@ -303,7 +316,6 @@ func (e *Engine) Checkpoint() {
 // captures.
 type EngineState struct {
 	tick    int64
-	stopped bool
 	enabled []bool
 }
 
@@ -351,7 +363,6 @@ func (e *Engine) StateInto(st *EngineState) {
 		panic("sim: StateInto with dynamically scheduled one-shots pending; snapshots must be taken before any run-time After/At")
 	}
 	st.tick = tick
-	st.stopped = e.stopped
 	st.enabled = st.enabled[:0]
 	for _, ent := range e.procs {
 		st.enabled = append(st.enabled, ent.enabled)
@@ -377,7 +388,6 @@ func (e *Engine) Seek(st *EngineState) {
 		panic("sim: Seek with mismatched process set; source and target must be built from the same scenario")
 	}
 	e.clock = Clock{ticks: st.tick}
-	e.stopped = st.stopped
 	// Re-arm the not-yet-due one-shots. The filtered subset of a heap is
 	// not itself heap-ordered, so re-init.
 	e.oneShots = e.oneShots[:0]
@@ -407,7 +417,7 @@ func (e *Engine) Seek(st *EngineState) {
 }
 
 // RunToTickContext advances the simulation until the clock reaches the
-// absolute tick end, Stop is called, or the context is done. On
+// absolute tick end or the context is done. On
 // cancellation the engine halts at a tick boundary and returns the
 // context's error, leaving the system in a consistent mid-run state
 // that can still be snapshotted. Every run of a core.System goes
@@ -416,12 +426,12 @@ func (e *Engine) Seek(st *EngineState) {
 // end.
 func (e *Engine) RunToTickContext(ctx context.Context, end int64) error {
 	countdown := 0
-	for e.clock.Ticks() < end && !e.stopped {
+	for e.clock.Ticks() < end {
 		if countdown == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			countdown = ctxCheckTicks
+			countdown = CtxCheckTicks
 		}
 		countdown--
 		e.Step()
@@ -429,23 +439,23 @@ func (e *Engine) RunToTickContext(ctx context.Context, end int64) error {
 	return nil
 }
 
-// ctxCheckTicks is how often RunToTickContext polls the context: every
-// 1024 ticks (~0.1 s simulated) keeps the poll off the per-tick hot
-// path while bounding cancellation latency to a fraction of a
-// simulated second.
-const ctxCheckTicks = 1024
+// CtxCheckTicks is how often RunToTickContext polls the context,
+// counted from the tick it was called at: every 1024 ticks (~0.1 s
+// simulated) keeps the poll off the per-tick hot path while bounding
+// cancellation latency to a fraction of a simulated second.
+const CtxCheckTicks = 1024
 
-// Run advances the simulation for the given duration or until Stop.
+// Run advances the simulation for the given duration.
 func (e *Engine) Run(d time.Duration) {
 	end := e.clock.Ticks() + TicksFor(d)
-	for e.clock.Ticks() < end && !e.stopped {
+	for e.clock.Ticks() < end {
 		e.Step()
 	}
 }
 
-// RunUntil advances until the absolute simulated time t or Stop.
+// RunUntil advances until the absolute simulated time t.
 func (e *Engine) RunUntil(t time.Duration) {
-	for e.clock.Now() < t && !e.stopped {
+	for e.clock.Now() < t {
 		e.Step()
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -111,21 +112,43 @@ func TestEngineAtInPastRunsImmediately(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
+func TestEngineContextStopsAtCheckTick(t *testing.T) {
 	e := NewEngine()
-	count := 0
-	e.Register("p", time.Millisecond, 0, ProcFunc(func(now time.Duration) {
-		count++
-		if now >= 3*time.Millisecond {
-			e.Stop()
+	e.Run(5 * Tick)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.Register("p", Tick, 0, ProcFunc(func(now time.Duration) {
+		if now == 1500*Tick {
+			cancel()
 		}
 	}))
-	e.Run(100 * time.Millisecond)
-	if !e.Stopped() {
-		t.Fatal("engine not stopped")
+	if err := e.RunToTickContext(ctx, 10000); err != context.Canceled {
+		t.Fatalf("RunToTickContext = %v, want context.Canceled", err)
 	}
-	if count != 4 { // t=0,1,2,3 ms
-		t.Fatalf("proc ran %d times before stop, want 4", count)
+	// Polls fall every CtxCheckTicks counted from the call's first tick.
+	if got, want := e.Clock().Ticks(), int64(5+2*CtxCheckTicks); got != want {
+		t.Fatalf("canceled run stopped at tick %d, want %d", got, want)
+	}
+}
+
+func TestEngineNextFireAndOneShot(t *testing.T) {
+	e := NewEngine()
+	if _, ok := e.NextOneShot(); ok {
+		t.Fatal("fresh engine reports a pending one-shot")
+	}
+	h := e.Register("slow", 10*Tick, 7, ProcFunc(func(time.Duration) {}))
+	h.SetEnabled(false)
+	e.At(25*Tick, func(time.Duration) {})
+	e.Run(3 * Tick)
+	if h.Priority() != 7 {
+		t.Fatalf("Priority = %d, want 7", h.Priority())
+	}
+	// A disabled process keeps its phase.
+	if h.NextFire() != 10 {
+		t.Fatalf("NextFire = %d, want 10", h.NextFire())
+	}
+	if at, ok := e.NextOneShot(); !ok || at != 25 {
+		t.Fatalf("NextOneShot = %d, %v, want 25, true", at, ok)
 	}
 }
 

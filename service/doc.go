@@ -61,11 +61,12 @@
 // # Durable job journal
 //
 // With Config.Journal set (campaignd -journal <dir>), accepted jobs
-// survive process death. The journal is a JSON-lines write-ahead log,
-// one object per line:
+// survive process death. The journal is a write-ahead log of JSON
+// objects, one per line, each after the CRC-32 (IEEE) of its JSON in 8
+// hex digits:
 //
-//	{"op":"accept","job_id":"j-00000007","tenant":"team-a","request":{...}}
-//	{"op":"done","job_id":"j-00000007"}
+//	1c2f5e0a {"op":"accept","job_id":"j-00000007","tenant":"team-a","request":{...}}
+//	9b04d2e7 {"op":"done","job_id":"j-00000007"}
 //
 // Every append is a single write(2) followed by fsync, and the accept
 // entry is durable before the submitter hears 202 — so an
@@ -74,8 +75,11 @@
 // OpenJournal pairs accepts with dones, compacts the file down to the
 // unmatched accepts (write-temp/fsync/rename, so a crash during
 // compaction leaves the old or the new journal, never a mix), and
-// tolerates a torn trailing line — the only damage a mid-append crash
-// can leave. The server re-enqueues the pending jobs ahead of new
+// skips every line whose checksum fails — the torn trailing line a
+// mid-append crash leaves, or a line a bad disk damaged — so damage
+// neither forges an entry nor hides the intact lines after it. (Bare
+// JSON lines, from journals written before the checksum, are read as
+// they are.) The server re-enqueues the pending jobs ahead of new
 // submissions and resumes the job-ID sequence past them.
 //
 // The delivery contract is at-least-once, idempotent by job ID: a job

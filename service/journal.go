@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -95,11 +96,11 @@ func (j *Journal) replay() error {
 			continue
 		}
 		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			// Every append is a single write(2), so an undecodable line
-			// can only be the crash-truncated tail; everything before it
-			// is intact and everything after it does not exist.
-			break
+		if !decodeLine(line, &e) {
+			// A torn tail or a damaged line: its checksum fails, so it
+			// can neither forge an entry nor hide the intact ones
+			// after it.
+			continue
 		}
 		switch e.Op {
 		case "accept":
@@ -141,12 +142,12 @@ func (j *Journal) compact() error {
 	}
 	for i := range j.pending {
 		p := &j.pending[i]
-		b, err := json.Marshal(journalEntry{Op: "accept", JobID: p.ID, Tenant: p.Tenant, Request: &p.Request})
+		b, err := appendLine(nil, journalEntry{Op: "accept", JobID: p.ID, Tenant: p.Tenant, Request: &p.Request})
 		if err != nil {
 			f.Close()
 			return err
 		}
-		if _, err := f.Write(append(b, '\n')); err != nil {
+		if _, err := f.Write(b); err != nil {
 			f.Close()
 			return err
 		}
@@ -180,11 +181,10 @@ func (j *Journal) Done(id string) error {
 // append writes one entry as a single write(2) followed by fsync:
 // the line is either fully on disk or (torn tail) ignored on replay.
 func (j *Journal) append(e journalEntry) error {
-	b, err := json.Marshal(e)
+	b, err := appendLine(nil, e)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -218,6 +218,34 @@ func (j *Journal) Close() error {
 	err := j.f.Close()
 	j.f = nil
 	return err
+}
+
+// appendLine appends e's journal line to dst: the CRC-32 (IEEE) of the
+// entry's JSON as 8 hex digits, a space, the JSON, and a newline.
+func appendLine(dst []byte, e journalEntry) ([]byte, error) {
+	b, err := json.Marshal(e)
+	if err != nil {
+		return dst, err
+	}
+	dst = fmt.Appendf(dst, "%08x ", crc32.ChecksumIEEE(b))
+	return append(append(dst, b...), '\n'), nil
+}
+
+// decodeLine decodes one journal line into e and reports whether its
+// checksum held. A bare JSON line, as journals written before the
+// checksum carry, is taken as it is.
+func decodeLine(line []byte, e *journalEntry) bool {
+	if len(line) > 0 && line[0] == '{' {
+		return json.Unmarshal(line, e) == nil
+	}
+	if len(line) < 9 || line[8] != ' ' {
+		return false
+	}
+	sum, err := strconv.ParseUint(string(line[:8]), 16, 32)
+	if err != nil || uint32(sum) != crc32.ChecksumIEEE(line[9:]) {
+		return false
+	}
+	return json.Unmarshal(line[9:], e) == nil
 }
 
 // jobNum extracts the numeric suffix of a "j-%08d" job ID; foreign

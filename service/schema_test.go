@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -111,6 +112,11 @@ func TestValidateCatchesBadRequests(t *testing.T) {
 			r.Sweeps = []containerdrone.Sweep{{Key: "attack.rate"}}
 		}, "sweep"},
 		{"negative runs", func(r *CampaignRequest) { r.Runs = -1 }, "runs"},
+		{"zero telemetry rate", func(r *CampaignRequest) { r.Params = map[string]float64{"telemetry.rate": 0} }, "telemetry rate"},
+		{"huge replay capture", func(r *CampaignRequest) {
+			r.Scenario = "mav-replay"
+			r.Params = map[string]float64{"fault.magnitude": 1e15}
+		}, "capture"},
 	}
 	for _, tc := range cases {
 		req := sampleRequest()
@@ -134,5 +140,21 @@ func TestTotalRuns(t *testing.T) {
 	minimal := CampaignRequest{SchemaVersion: SchemaVersion, Scenario: "baseline"}
 	if got := minimal.TotalRuns(); got != 1 {
 		t.Fatalf("minimal TotalRuns = %d, want 1", got)
+	}
+}
+
+// TestValidateLongFlightAllocatesLittle: validating a request for an
+// absurdly long flight builds its first grid cell without allocating
+// the flight's whole log up front.
+func TestValidateLongFlightAllocatesLittle(t *testing.T) {
+	req := CampaignRequest{SchemaVersion: SchemaVersion, Scenario: "baseline", DurationS: 1e7}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := req.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("validating a 1e7 s flight allocated %d MB", grew>>20)
 	}
 }

@@ -21,7 +21,8 @@ const TicksPerSecond = 10_000
 // exactly once. A run is deterministic: the simulation loop runs on
 // the goroutine that calls Run, and when the process has a spare P
 // (GOMAXPROCS of 2 or more, not taken by other flights) the airframe
-// integrates on one helper goroutine that meets the loop at the
+// integrates on one helper goroutine that flies ahead of the loop up
+// to the next possible actuator write and meets it at the
 // sensor/actuator boundary, so results and observer callbacks are
 // byte-identical either way. Distinct Sims share no mutable state, so
 // concurrent New(...).Run(...) calls are safe.
