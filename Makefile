@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-short bench-check bench-baseline microbench fmt vet golden golden-update fuzz
+.PHONY: build test race bench microbench fmt vet golden golden-update fuzz
 
 build:
 	$(GO) build ./...
@@ -14,31 +14,12 @@ race:
 	$(GO) test -race -run 'TestAirframeHelper|TestRewindFieldCoverageMidRun' ./internal/core/
 	$(GO) test -race -run 'TestSnapshot' ./internal/core/
 
-# Full performance suite: emits BENCH_<timestamp>.json in the repo
-# root — the trajectory point for this commit.
-bench: build
-	$(GO) run ./cmd/bench -out .
-
-# Quick CI variant: shorter flights, single attempt per metric.
-bench-short: build
-	$(GO) run ./cmd/bench -quick -out .
-
-# Perf-regression gate against the committed baseline: per-benchmark
-# deltas, non-zero exit on >10% regression. Run on the bench machine;
-# CI uses the quick baseline with a wide tolerance (hardware varies).
-bench-check: build
-	$(GO) run ./cmd/bench -out . -baseline testdata/bench/baseline.json
-
-# Re-pin the committed baselines after an intentional perf change (or
-# on a new bench machine); review the diff like code.
-bench-baseline: build
-	rm -rf .bench-baseline-tmp
-	$(GO) run ./cmd/bench -repeats 5 -out .bench-baseline-tmp
-	cp .bench-baseline-tmp/BENCH_*.json testdata/bench/baseline.json
-	rm -rf .bench-baseline-tmp
-	$(GO) run ./cmd/bench -quick -out .bench-baseline-tmp
-	cp .bench-baseline-tmp/BENCH_*.json testdata/bench/baseline-quick.json
-	rm -rf .bench-baseline-tmp
+# Full performance suite (perfbench, about 2 minutes): emits
+# BENCH_<timestamp>.json in the repo root — the trajectory point for
+# this commit. Gate a later run against it with
+# `bash perfbench/run.sh --workload all --baseline BENCH_<ts>.json`.
+bench:
+	bash perfbench/run.sh --workload all --out .
 
 # Go micro-benchmarks (paper figures, ticks/sec, campaign throughput)
 # at one iteration each — a smoke pass, not a measurement.

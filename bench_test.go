@@ -28,9 +28,10 @@ func runScenario(b *testing.B, cfg core.Config) *core.Result {
 
 // BenchmarkEngineTicksPerSec measures raw simulation throughput — how
 // many 100 µs engine ticks execute per wall-clock second — on the
-// attack-free baseline and on the Fig 7 flood, the two poles of the
-// perf trajectory tracked by cmd/bench. ReportAllocs makes allocation
-// regressions on the hot path visible in every benchmark run.
+// attack-free baseline and on the Fig 7 flood, the flights of
+// perfbench's flight-baseline and flight-flood workloads. ReportAllocs
+// makes allocation regressions on the hot path visible in every
+// benchmark run.
 func BenchmarkEngineTicksPerSec(b *testing.B) {
 	for _, sc := range []struct {
 		name string

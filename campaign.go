@@ -109,17 +109,6 @@ func StreamRecordsCSV(w io.Writer) (stream func(Record), done func() error, err 
 	return func(r Record) { s(campaign.Record(r)) }, d, nil
 }
 
-// WithColdStart disables warm-pool reuse: every run rebuilds its
-// simulation from scratch instead of rewinding a per-worker cached
-// instance to its tick-0 snapshot. Campaigns default to reuse — the two
-// paths produce byte-identical records (rewind-to-cold equivalence is
-// pinned by the test suite for every registry scenario) and reuse is
-// what makes a campaign run allocation-free at steady state. The
-// escape hatch exists for debugging and A/B measurement.
-func WithColdStart() CampaignOption {
-	return func(c *Campaign) { c.coldStart = true }
-}
-
 // WithPrefixSharing turns checkpoint-fork prefix sharing on or off
 // (default on). When on, grid points whose swept knobs only act after
 // attack/fault onset — attack parameters, fault severities, monitor
@@ -151,7 +140,6 @@ type Campaign struct {
 	parallel    int
 	baseSeed    uint64
 	duration    time.Duration
-	coldStart   bool
 	prefixShare bool
 	observers   []func(Record)
 }
@@ -184,7 +172,6 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 		Parallel:    c.parallel,
 		BaseSeed:    c.baseSeed,
 		Duration:    c.duration,
-		ColdStart:   c.coldStart,
 		PrefixShare: c.prefixShare,
 	}
 	if len(c.observers) > 0 {

@@ -49,7 +49,6 @@ func main() {
 		// Campaign mode.
 		runs     = flag.Int("runs", 1, "seeds per sweep point; >1 (or any -sweep) switches to campaign mode")
 		parallel = flag.Int("parallel", 0, "campaign workers (0 = GOMAXPROCS)")
-		cold     = flag.Bool("coldstart", false, "campaign: rebuild every run instead of reusing warm engines")
 		fork     = flag.Bool("fork", true, "campaign: share pre-onset prefixes across sweep variants via checkpoint forking")
 		recCSV   = flag.String("records-csv", "", "campaign: per-run records CSV, streamed live then finalized in run order")
 		aggCSV   = flag.String("agg-csv", "", "campaign: write per-point aggregate CSV to this path")
@@ -130,7 +129,7 @@ func main() {
 			fatal(fmt.Errorf("-csv and -blackbox are single-run flags; campaigns emit -records-csv/-agg-csv/-json"))
 		}
 		runCampaign(ctx, *scenario, params, parsed, *runs, *parallel, *seed, *duration,
-			*cold, *fork, *recCSV, *aggCSV, *jsonPath)
+			*fork, *recCSV, *aggCSV, *jsonPath)
 		return
 	}
 	runSingle(ctx, *scenario, params, *seed, *duration, *csvPath, *bbPath, *trace)
@@ -156,7 +155,7 @@ func listScenarios() {
 
 func runCampaign(ctx context.Context, scenario string, params map[string]float64, sweeps []containerdrone.Sweep,
 	runs, parallel int, seed uint64, duration time.Duration,
-	coldStart, fork bool, recCSV, aggCSV, jsonPath string) {
+	fork bool, recCSV, aggCSV, jsonPath string) {
 	if runs < 1 {
 		runs = 1
 	}
@@ -168,9 +167,6 @@ func runCampaign(ctx context.Context, scenario string, params map[string]float64
 		containerdrone.WithBaseSeed(seed),
 		containerdrone.WithRunDuration(duration),
 		containerdrone.WithPrefixSharing(fork),
-	}
-	if coldStart {
-		opts = append(opts, containerdrone.WithColdStart())
 	}
 	// Records stream to disk as runs complete, off the workers' hot
 	// path, so long campaigns are observable with tail -f.

@@ -1,9 +1,10 @@
-// Command loadgen drives a campaignd server with many concurrent
-// synthetic clients — the service-level counterpart of cmd/bench. Each
-// client loops: submit a small campaign (wait-mode, so one request is
-// one full submit→simulate→aggregate round trip), record the outcome
-// and latency, honor Retry-After on backpressure rejections, repeat
-// until the wall-clock budget expires.
+// Command loadgen drives a running campaignd server with many
+// concurrent synthetic clients; perfbench's service-journal workload is
+// the measured, in-process counterpart. Each client loops: submit a
+// small campaign (wait-mode, so one request is one full
+// submit→simulate→aggregate round trip), record the outcome and
+// latency, honor Retry-After on backpressure rejections, repeat until
+// the wall-clock budget expires.
 //
 //	loadgen -addr http://localhost:8080 -clients 500 -duration 30s
 //	loadgen -clients 64 -scenario udpflood -runs 4 -tenants 8

@@ -60,9 +60,9 @@ type Spec struct {
 	// core.System from scratch instead of restoring a per-worker
 	// cached instance from its tick-0 snapshot. The two paths produce
 	// byte-identical records (the tick-0 restore is pinned to
-	// cold-build equivalence); the
-	// escape hatch exists for debugging and for the equivalence tests
-	// themselves.
+	// cold-build equivalence). No public surface sets it: it is the
+	// ground truth the equivalence tests compare the warm and fork
+	// paths against.
 	ColdStart bool
 
 	// PrefixShare enables checkpoint-fork prefix sharing: grid points

@@ -35,7 +35,8 @@ func forkSpec(scenario string, runs int) Spec {
 // grouped seed derivation but disables both the warm pool and the
 // forking, so it is the ground-truth baseline). Scenarios with a
 // scheduled onset must actually fork; scenarios without one (baseline,
-// mission) must fall back transparently.
+// mission) must fall back transparently. CAMPAIGN_EQUIV_RUNS raises
+// the seed count from 2.
 func TestForkEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fork equivalence flies every registry scenario; run without -short")
@@ -43,7 +44,7 @@ func TestForkEquivalence(t *testing.T) {
 	for _, sc := range core.Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			spec := forkSpec(sc.Name, 2)
+			spec := forkSpec(sc.Name, equivRuns(t, 2))
 
 			forkRec, forkAgg, stats, err := Run(context.Background(), spec)
 			if err != nil {

@@ -11,20 +11,26 @@ import (
 	"time"
 )
 
+// equivRuns is the seed count of an equivalence sample: def, unless
+// CAMPAIGN_EQUIV_RUNS raises it. The nightly workflow sets it to run
+// the warm/cold and fork/full assertions on a deeper sample.
+func equivRuns(t *testing.T, def int) int {
+	env := os.Getenv("CAMPAIGN_EQUIV_RUNS")
+	if env == "" {
+		return def
+	}
+	n, err := strconv.Atoi(env)
+	if err != nil || n <= 0 {
+		t.Fatalf("bad CAMPAIGN_EQUIV_RUNS=%q", env)
+	}
+	return n
+}
+
 // warmColdSpec is the fixed-seed sample the warm/cold assertion runs
 // on: fault scenarios with a sweep, several runs per point, so the
 // comparison exercises point switching, fault plans, and failovers.
-// The nightly workflow raises the run count via CAMPAIGN_EQUIV_RUNS
-// before bundling the 200-run fault campaign onto the warm-pool path.
 func warmColdSpec(t *testing.T) Spec {
-	runs := 4
-	if env := os.Getenv("CAMPAIGN_EQUIV_RUNS"); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil || n <= 0 {
-			t.Fatalf("bad CAMPAIGN_EQUIV_RUNS=%q", env)
-		}
-		runs = n
-	}
+	runs := equivRuns(t, 4)
 	points := Expand("gps-spoof", nil, []Sweep{{Key: "fault.rate", Values: []float64{0.5, 2}}})
 	points = append(points, Expand("netsplit", nil, nil)...)
 	points = append(points, Expand("udpflood", nil, nil)...)

@@ -309,7 +309,7 @@ func TestAirframeHelperFenceCrash(t *testing.T) {
 				for h.crash[0].step.Load() < 0 {
 					runtime.Gosched()
 				}
-				if crashed, _ := s.Log.Crashed(); crashed {
+				if crashed, _ := s.Member(0).Log.Crashed(); crashed {
 					t.Errorf("tick %d: crash at tick %d reported early", tick, crash)
 				}
 				led = true

@@ -84,12 +84,12 @@ func TestRotorDecayDegradesEfficiency(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run()
-	eff := sys.Quad.Rotors[0].Efficiency()
+	eff := sys.Member(0).Quad.Rotors[0].Efficiency()
 	want := 1 - fault.DefaultRotorDecayLoss
 	if eff > want+1e-9 || eff < want-1e-9 {
 		t.Fatalf("rotor 0 efficiency = %v, want %v", eff, want)
 	}
-	if e := sys.Quad.Rotors[1].Efficiency(); e != 1 {
+	if e := sys.Member(0).Quad.Rotors[1].Efficiency(); e != 1 {
 		t.Fatalf("rotor 1 efficiency = %v, want healthy", e)
 	}
 }
@@ -138,7 +138,7 @@ func TestOverlappingSameKindFaultsCompose(t *testing.T) {
 	// closed, the second is still open — every surface must still be
 	// degraded.
 	sys.Engine.At(sec(3.5), func(time.Duration) {
-		if !sys.Net.Partitioned(hceHost, sys.CCE.NetHost()) {
+		if !sys.Net.Partitioned(hceHost, sys.Member(0).CCE.NetHost()) {
 			t.Error("first netsplit End healed the bridge while the second window is open")
 		}
 		if sys.Net.Link().Jitter == 0 {
@@ -157,7 +157,7 @@ func TestOverlappingSameKindFaultsCompose(t *testing.T) {
 	})
 	sys.Run()
 	// All windows closed: every surface fully healed.
-	if sys.Net.Partitioned(hceHost, sys.CCE.NetHost()) {
+	if sys.Net.Partitioned(hceHost, sys.Member(0).CCE.NetHost()) {
 		t.Error("partition survived both windows")
 	}
 	if link := sys.Net.Link(); link.Jitter != 0 || link.Loss != 0 {

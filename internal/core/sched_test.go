@@ -48,7 +48,7 @@ func TestAnalysisBoundsHoldInSimulation(t *testing.T) {
 		}
 	}
 	s.Run()
-	for _, task := range s.CPU.Tasks() {
+	for _, task := range s.Member(0).CPU.Tasks() {
 		b, ok := bounds[task.Name]
 		if !ok {
 			continue

@@ -5,10 +5,7 @@ import (
 	"time"
 
 	"containerdrone/internal/attack"
-	"containerdrone/internal/container"
 	"containerdrone/internal/fault"
-	"containerdrone/internal/membw"
-	"containerdrone/internal/memguard"
 	"containerdrone/internal/monitor"
 	"containerdrone/internal/netsim"
 	"containerdrone/internal/physics"
@@ -74,10 +71,8 @@ type Hooks struct {
 // estimators, controllers, security monitor, flight log — while the
 // System owns exactly what is physically shared: the simulation
 // engine, the radio/bridge fabric, the event trace, and (for fleets)
-// the ground-control station coordinating the formation. The exported
-// CPU/Bus/Guard/Runtime/CCE/Quad/Monitor/Log fields alias member 0
-// (the leader), so single-drone callers read the System exactly as
-// before the fleet refactor.
+// the ground-control station coordinating the formation. Member(i)
+// reaches a member's stack; member 0 is the leader.
 //
 // A run is deterministic: the engine runs the flight computer on the
 // calling goroutine, and the only concurrency inside a run is one
@@ -104,16 +99,6 @@ type System struct {
 	Net    *netsim.Network
 	Trace  *sim.Trace
 	Hooks  Hooks
-
-	// Member-0 (leader) aliases; see the type comment.
-	CPU     *sched.CPU
-	Bus     *membw.Bus
-	Guard   *memguard.Guard
-	Runtime *container.Runtime
-	CCE     *container.Container
-	Quad    *physics.Quad
-	Monitor *monitor.Monitor
-	Log     *telemetry.FlightLog
 
 	drones []*Drone
 
@@ -204,10 +189,6 @@ func New(cfg Config) (*System, error) {
 		}
 		s.drones = append(s.drones, d)
 	}
-	d0 := s.drones[0]
-	s.CPU, s.Bus, s.Guard = d0.CPU, d0.Bus, d0.Guard
-	s.Runtime, s.CCE = d0.Runtime, d0.CCE
-	s.Quad, s.Monitor, s.Log = d0.Quad, d0.Monitor, d0.Log
 	s.leaderSP = cfg.Setpoint
 
 	if n > 1 {
@@ -315,7 +296,7 @@ func (s *System) scheduleAttack() {
 // any attack task is admitted. Fleet members carry identical task
 // sets, so the leader's analysis speaks for all of them.
 func (s *System) Schedulability() []sched.AnalysisResult {
-	return sched.Analyze(s.CPU)
+	return sched.Analyze(s.drones[0].CPU)
 }
 
 // AddSystemBaseline registers the idle OS load present in every

@@ -240,7 +240,7 @@ func TestReceiverKilledOnSwitch(t *testing.T) {
 	if !r.Switched {
 		t.Fatal("expected switch")
 	}
-	for _, task := range s.CPU.Tasks() {
+	for _, task := range s.Member(0).CPU.Tasks() {
 		if task.Name == "hce-recv" {
 			t.Fatal("receiving thread still scheduled after switch — §III-E requires it be killed")
 		}

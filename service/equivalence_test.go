@@ -12,13 +12,16 @@ import (
 // (and records) returned over HTTP must be byte-identical to a direct
 // SDK campaign run with the same knobs. The table covers the warm-pool
 // path (no sweep, reset-reuse between seeds) and the checkpoint-fork
-// path (a post-onset severity sweep that prefix-shares), plus a
-// multi-point attack sweep.
+// path (a post-onset severity sweep that prefix-shares), a multi-point
+// attack sweep, and a v1 request carrying the retired cold_start flag,
+// which must run exactly as the SDK campaign without it (forks and
+// all, so the stats comparison catches a flag that still bites).
 func TestServiceEquivalence(t *testing.T) {
 	cases := []struct {
-		name string
-		req  CampaignRequest
-		opts func() []containerdrone.CampaignOption
+		name     string
+		req      CampaignRequest
+		opts     func() []containerdrone.CampaignOption
+		wantFork bool
 	}{
 		{
 			name: "warm-pool",
@@ -44,6 +47,7 @@ func TestServiceEquivalence(t *testing.T) {
 					containerdrone.WithSweep("fault.rate", 0.5, 1, 2),
 				}
 			},
+			wantFork: true,
 		},
 		{
 			name: "attack-sweep",
@@ -60,6 +64,21 @@ func TestServiceEquivalence(t *testing.T) {
 					containerdrone.WithSweep("attack.rate", 2000, 8000),
 				}
 			},
+		},
+		{
+			name: "v1-cold-start-ignored",
+			req: CampaignRequest{
+				Scenario: "gps-spoof", Runs: 2, DurationS: 12, ColdStart: true,
+				Sweeps: []containerdrone.Sweep{{Key: "fault.rate", Values: []float64{0.5, 2}}},
+			},
+			opts: func() []containerdrone.CampaignOption {
+				return []containerdrone.CampaignOption{
+					containerdrone.WithRuns(2),
+					containerdrone.WithRunDuration(12 * time.Second),
+					containerdrone.WithSweep("fault.rate", 0.5, 2),
+				}
+			},
+			wantFork: true,
 		},
 	}
 	_, cl := newTestServer(t, Config{Workers: 2})
@@ -83,8 +102,8 @@ func TestServiceEquivalence(t *testing.T) {
 			// Execution economics are deterministic too: the service
 			// runs the same fork plan the SDK does.
 			mustEqualJSON(t, "stats", direct.Stats, served.Stats)
-			if tc.name == "fork-prefix-sharing" && served.Stats.ForkedRuns == 0 {
-				t.Fatal("fork case did not exercise prefix sharing")
+			if tc.wantFork && served.Stats.ForkedRuns == 0 {
+				t.Fatal("case did not exercise prefix sharing")
 			}
 		})
 	}

@@ -34,7 +34,9 @@ type CampaignRequest struct {
 	Params map[string]float64 `json:"params,omitempty"`
 	// Sweeps expand to the cartesian grid of campaign points.
 	Sweeps []containerdrone.Sweep `json:"sweeps,omitempty"`
-	// ColdStart disables warm-pool reuse (debugging/A-B measurement).
+	// ColdStart is accepted and ignored. It once disabled warm-pool
+	// reuse; warm and cold runs are byte-identical, and strict v1
+	// decoding must still read requests and journals that carry it.
 	ColdStart bool `json:"cold_start,omitempty"`
 	// NoPrefixShare disables checkpoint-fork prefix sharing; the
 	// negative spelling keeps the zero value on the SDK default (on).
@@ -131,9 +133,6 @@ func (r *CampaignRequest) options(parallel int) []containerdrone.CampaignOption 
 	}
 	if len(r.Params) > 0 {
 		opts = append(opts, containerdrone.WithBaseParams(r.Params))
-	}
-	if r.ColdStart {
-		opts = append(opts, containerdrone.WithColdStart())
 	}
 	return opts
 }

@@ -12,8 +12,8 @@ import (
 
 // TicksPerSecond is the deterministic kernel's base tick rate: the
 // engine advances simulated time in fixed 100 µs steps (10 kHz).
-// Tools that convert simulated durations to engine ticks (cmd/bench's
-// ticks/sec metric) multiply seconds by this constant.
+// Tools that convert simulated durations to engine ticks (perfbench's
+// ticks_per_s metric) multiply seconds by this constant.
 const TicksPerSecond = 10_000
 
 // Sim is one buildable, runnable scenario instance. Build it with New
