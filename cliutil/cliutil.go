@@ -8,7 +8,10 @@ import (
 	"context"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
+
+	"containerdrone"
 )
 
 // SignalContext returns a context canceled on the first SIGINT or
@@ -21,4 +24,25 @@ import (
 // delivery) and should be deferred by the caller.
 func SignalContext(parent context.Context) (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
+}
+
+// StringList is a repeatable string flag (a flag.Value): each
+// occurrence appends.
+type StringList []string
+
+func (s *StringList) String() string     { return strings.Join(*s, " ") }
+func (s *StringList) Set(v string) error { *s = append(*s, v); return nil }
+
+// ParseSweeps parses repeated -sweep values ("key=v1,v2,...") into the
+// campaign sweeps they name, in flag order.
+func ParseSweeps(specs []string) ([]containerdrone.Sweep, error) {
+	var out []containerdrone.Sweep
+	for _, s := range specs {
+		sw, err := containerdrone.ParseSweep(s)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, sw)
+	}
+	return out, nil
 }

@@ -53,3 +53,27 @@ func TestSignalContextPropagatesParent(t *testing.T) {
 		t.Fatal("stop() did not cancel the context")
 	}
 }
+
+// TestSweepFlags: a repeated -sweep flag collects every occurrence in
+// order, and ParseSweeps turns them into sweeps or names the bad one.
+func TestSweepFlags(t *testing.T) {
+	var flags StringList
+	for _, v := range []string{"attack.rate=1e9,2e9", "wind=0"} {
+		if err := flags.Set(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := flags.String(); got != "attack.rate=1e9,2e9 wind=0" {
+		t.Fatalf("String() = %q", got)
+	}
+	sweeps, err := ParseSweeps(flags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweeps) != 2 || sweeps[0].Key != "attack.rate" || len(sweeps[0].Values) != 2 || sweeps[1].Values[0] != 0 {
+		t.Fatalf("ParseSweeps = %+v", sweeps)
+	}
+	if _, err := ParseSweeps([]string{"wind=0", "wind"}); err == nil {
+		t.Fatal("malformed sweep accepted")
+	}
+}

@@ -32,19 +32,13 @@ import (
 	"containerdrone/cliutil"
 )
 
-// stringList is a repeatable string flag: each occurrence appends.
-type stringList []string
-
-func (s *stringList) String() string     { return strings.Join(*s, " ") }
-func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
-
 func main() {
 	var (
 		scenario = flag.String("scenario", "baseline", "registered scenario name, or 'list' to enumerate")
 		seed     = flag.Uint64("seed", 1, "simulation seed (campaigns derive per-run seeds from it)")
 		duration = flag.Duration("duration", 0, "simulated flight length (default: scenario preset)")
-		sets     stringList
-		sweeps   stringList
+		sets     cliutil.StringList
+		sweeps   cliutil.StringList
 
 		// Campaign mode.
 		runs     = flag.Int("runs", 1, "seeds per sweep point; >1 (or any -sweep) switches to campaign mode")
@@ -113,13 +107,9 @@ func main() {
 		}
 	})
 
-	var parsed []containerdrone.Sweep
-	for _, s := range sweeps {
-		sw, err := containerdrone.ParseSweep(s)
-		if err != nil {
-			fatal(err)
-		}
-		parsed = append(parsed, sw)
+	parsed, err := cliutil.ParseSweeps(sweeps)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *runs > 1 || len(parsed) > 0 {

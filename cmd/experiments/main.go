@@ -27,12 +27,6 @@ import (
 	"containerdrone/cliutil"
 )
 
-// stringList is a repeatable string flag: each occurrence appends.
-type stringList []string
-
-func (s *stringList) String() string     { return strings.Join(*s, " ") }
-func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
-
 // figures maps the paper's per-figure flags onto registry scenarios.
 var figures = []struct {
 	flagName string
@@ -65,7 +59,7 @@ func main() {
 		duration = flag.Duration("duration", 0, "flight length override (default: scenario preset)")
 		runs     = flag.Int("runs", 1, "campaign: seeds per point (>1 or -sweep enables campaign mode)")
 		parallel = flag.Int("parallel", 0, "campaign: workers (0 = GOMAXPROCS)")
-		sweeps   stringList
+		sweeps   cliutil.StringList
 	)
 	figFlags := make([]*bool, len(figures))
 	for i, f := range figures {
@@ -241,13 +235,9 @@ func runQuiet(ctx context.Context, scenario string, seed uint64) *containerdrone
 // or a campaign when -runs/-sweep ask for one.
 func runScenario(ctx context.Context, name string, sweepSpecs []string, runs, parallel int,
 	seed uint64, duration time.Duration, csvDir string) {
-	var parsed []containerdrone.Sweep
-	for _, s := range sweepSpecs {
-		sw, err := containerdrone.ParseSweep(s)
-		if err != nil {
-			fatal(err)
-		}
-		parsed = append(parsed, sw)
+	parsed, err := cliutil.ParseSweeps(sweepSpecs)
+	if err != nil {
+		fatal(err)
 	}
 	if runs > 1 || len(parsed) > 0 {
 		if csvDir != "" {

@@ -84,11 +84,14 @@ type Spec struct {
 
 	// Chaos, when non-nil, is the test-only fault-injection hook run
 	// inside the worker's recover boundary before every full-flight
-	// run attempt — it may panic, stall, or return a (possibly
-	// Transient) error, proving the campaign's crash isolation works
-	// without corrupting anything. Production campaigns leave it nil
-	// and pay only a recover() frame.
-	Chaos Chaos
+	// run attempt, proving the campaign's crash isolation works
+	// without corrupting anything. It may panic (a crash at the
+	// worker), stall (a hung dependency), or return an error
+	// (Transient to exercise the retry path, anything else for a
+	// permanent failure). point and run identify the cell; attempt
+	// counts executions of that cell, starting at 0. Production
+	// campaigns leave it nil and pay only a recover() frame.
+	Chaos func(point, run, attempt int) error
 
 	// Stream, when non-nil, receives every Record exactly once, from a
 	// single emitter goroutine off the workers' hot path — live
@@ -184,29 +187,17 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	if len(spec.Points) == 0 {
 		return nil, nil, stats, fmt.Errorf("campaign: no points")
 	}
-	// Validate every point up front: a typo in a sweep key should
-	// fail the campaign before it burns CPU on the valid cells. In
-	// prefix-sharing mode the planner's classification pass doubles as
-	// this validation (it builds every point's Config).
-	var plan *forkPlan
-	if spec.PrefixShare {
-		p, err := planPrefixGroups(spec)
-		if err != nil {
-			return nil, nil, stats, err
+	// The planner builds and validates every point's Config, so a typo
+	// in a sweep key or an out-of-range value fails the campaign before
+	// it burns CPU on the valid cells.
+	plan, err := planPrefixGroups(spec)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	for _, g := range plan.groups {
+		if g.forkTick > 0 {
+			stats.ForkGroups++
 		}
-		plan = p
-		for _, g := range plan.groups {
-			if g.forkTick > 0 {
-				stats.ForkGroups++
-			}
-		}
-	} else {
-		for _, p := range spec.Points {
-			if _, err := buildPoint(p, spec, 1); err != nil {
-				return nil, nil, stats, err
-			}
-		}
-		plan = singletonPlan(len(spec.Points))
 	}
 	workers := spec.Parallel
 	if workers <= 0 {
@@ -309,7 +300,7 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 		wg.Add(1)
 		go func(wi int, shard *Shard) {
 			defer wg.Done()
-			w := worker{spec: spec, plan: plan, pi: -1, gi: -1, chaos: spec.Chaos}
+			w := worker{spec: spec, plan: plan, gi: -1}
 			emit := func(idx int) {
 				pi := idx / spec.Runs
 				shard.Add(pi, &records[idx])
@@ -350,18 +341,13 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 		// the never-ran set is found by scanning for unwritten records
 		// (a written record always carries its point label) rather
 		// than by an index watermark.
+		w := worker{spec: spec, plan: plan}
 		for idx := range records {
 			if records[idx].Point != "" {
 				continue
 			}
-			pi, ri := idx/spec.Runs, idx%spec.Runs
-			records[idx] = Record{
-				Point:    spec.Points[pi].Label,
-				Scenario: spec.Points[pi].Scenario,
-				Run:      ri,
-				Seed:     DeriveSeed(spec.BaseSeed, plan.leaderOf[pi], ri),
-				Err:      ctx.Err().Error(),
-			}
+			pi := idx / spec.Runs
+			records[idx] = w.errRecord(pi, idx%spec.Runs, ctx.Err())
 			shards[0].Add(pi, &records[idx])
 			if streamCh != nil {
 				streamCh <- indexedRecord{idx, records[idx]}
@@ -394,277 +380,198 @@ func buildPoint(p Point, spec Spec, seed uint64) (core.Config, error) {
 	})
 }
 
-// worker is one pool member's run state: the cached warm System(s)
-// for the work it is currently flying, plus a reused Result buffer
-// and reused Snapshots. A warm run restores a cached System from the
-// tick-0 Snapshot captured right after its build instead of
-// rebuilding it — rings, schedules, fault/attack plans, and telemetry
-// buffers all survive in place, so the steady state of a campaign
-// allocates nothing per run. Only a System the worker will fly again
-// is worth that capture: a point with another run left in the chunk,
-// or a fork group's leader. Fork groups cycle through K member points
-// per run index, so they use a per-point map cache (cleared on group
-// switch) beside the classic single slot; members are restored
-// straight from the fork snapshot.
+// worker is one pool member's run state. Every cell it flies takes
+// the same three steps: acquire a System from the warm cache of the
+// group it is flying (system), restore it from the group's fork
+// snapshot when the cell is a forked variant, and fly it to the end of
+// its flight into the cell's record (fly). A point without prefix
+// sharing is a group of one. The cache holds one System per member
+// point and is dropped when the worker moves to another group,
+// bounding residency at one group's width, and after a panic (settle).
+// A cached System comes back rewound from the tick-0 Snapshot captured
+// right after its build instead of being rebuilt — rings, schedules,
+// fault/attack plans, and telemetry buffers all survive in place, so
+// the steady state of a campaign allocates nothing per run.
 type worker struct {
 	spec  Spec
 	plan  *forkPlan
-	chaos Chaos
-	pi    int // point index the cached System was built for (-1 none)
-	sys   *core.System
-	base  core.Snapshot // sys at tick 0
-	res   core.Result
-	gi    int // fork group the map cache belongs to (-1 none)
-	group map[int]*core.System
-	lead  core.Snapshot // the group leader at tick 0
+	gi    int           // group the cache belongs to (-1 none)
+	cache map[int]*warm // point index → its cached System
 	snap  core.Snapshot // the group's fork point
+	res   core.Result
 	stats Stats
 }
 
-// discardPools drops every cached warm System. Called after a
-// recovered panic: the panic may have unwound mid-mutation, so the
-// pooled state cannot be trusted and the next run cold-builds.
-func (w *worker) discardPools() {
-	w.sys, w.pi = nil, -1
-	w.group, w.gi = nil, -1
+// warm is one cached System; base is its tick-0 snapshot when it was
+// cached to fly from tick 0 again (based), as a forked variant's is not.
+type warm struct {
+	sys   *core.System
+	base  core.Snapshot
+	based bool
 }
 
-// panicRecord settles a cell whose execution panicked: a quarantined
-// failure record carrying the panic value and stack, the pooled state
-// discarded, and the failure counted. Quarantine means final — the
-// simulator is deterministic, so the same (scenario, seed) point
-// would panic identically on retry.
-func (w *worker) panicRecord(pi, ri int, err error, stack []byte) Record {
-	w.discardPools()
-	rec := w.errRecord(pi, ri, err)
-	rec.Panicked = true
-	rec.Stack = string(stack)
-	w.stats.RunsFailed++
-	w.stats.RunsPanicked++
-	return rec
-}
-
-// runChunk executes runs [lo, hi) of fork group gi — every member
-// point at every run index in the range — writing each cell into
-// records[pi*Runs+ri] and calling emit(idx) as it completes. Groups
-// that do not qualify for prefix sharing (and every group under
-// ColdStart) take the full-flight path; qualified groups fly the
-// shared prefix once per run index and fork the members from a
-// snapshot.
+// runChunk executes runs [lo, hi) of group gi — every member point at
+// every run index in the range — writing each cell into
+// records[pi*Runs+ri] and calling emit(idx) as it completes. A group
+// qualified for prefix sharing (and not under ColdStart) flies the
+// shared prefix once per run index and forks the members from a
+// snapshot; every other group flies its members as full flights.
 func (w *worker) runChunk(ctx context.Context, gi, lo, hi int, records []Record, emit func(int)) {
-	g := &w.plan.groups[gi]
-	if g.forkTick == 0 || w.spec.ColdStart {
-		for _, pi := range g.members {
-			for ri := lo; ri < hi; ri++ {
-				idx := pi*w.spec.Runs + ri
-				if err := ctx.Err(); err != nil {
-					records[idx] = w.errRecord(pi, ri, err)
-				} else {
-					records[idx] = w.runCell(ctx, pi, ri, ri+1 < hi)
-				}
-				emit(idx)
-			}
-		}
-		return
+	if w.gi != gi {
+		w.gi, w.cache = gi, nil
 	}
+	g := &w.plan.groups[gi]
+	fork := g.forkTick > 0 && !w.spec.ColdStart
 	for ri := lo; ri < hi; ri++ {
-		if err := ctx.Err(); err != nil {
-			for _, pi := range g.members {
-				idx := pi*w.spec.Runs + ri
-				records[idx] = w.errRecord(pi, ri, err)
-				emit(idx)
-			}
-			continue
+		// A System is worth caching only if the worker flies its point
+		// again in this chunk.
+		again := ri+1 < hi && !w.spec.ColdStart
+		if fork && ctx.Err() == nil {
+			w.runForkIndex(ctx, g, ri, again, records, emit)
+		} else {
+			w.fullFlights(ctx, g.members, ri, again, records, emit)
 		}
-		w.runForkIndex(ctx, gi, g, ri, ri+1 < hi, records, emit)
 	}
 }
 
-// runForkIndex flies one run index of a qualified fork group: the
-// leader's shared prefix, a snapshot, then every member forked from
-// it. Each stage runs inside the protect() boundary, so a panic fails
-// only the cell it surfaced on, discards the worker's pooled state,
-// and degrades the remaining members to full (still protected)
-// flights — one poisoned (scenario, seed) point cannot sink its
-// group, let alone the campaign. again reports whether another run
-// index of the group follows in the chunk.
-func (w *worker) runForkIndex(ctx context.Context, gi int, g *forkGroup, ri int, again bool, records []Record, emit func(int)) {
-	leadPI := g.leader()
-	seed := DeriveSeed(w.spec.BaseSeed, leadPI, ri)
-	lidx := leadPI*w.spec.Runs + ri
-
-	var leader *core.System
-	berr, bpanic, bstack := protect(func() error {
-		var err error
-		leader, err = w.groupSystem(gi, leadPI, seed)
-		return err
-	})
-	if berr != nil || bpanic {
-		// Per-point builds were validated up front, so this is
-		// vanishingly rare; degrade the whole run index to full
-		// flights rather than guessing at shared state.
-		if bpanic {
-			records[lidx] = w.panicRecord(leadPI, ri, berr, bstack)
-		} else {
-			records[lidx] = w.errRecord(leadPI, ri, berr)
-			w.stats.RunsFailed++
-		}
-		emit(lidx)
-		for _, pi := range g.members[1:] {
-			idx := pi*w.spec.Runs + ri
-			records[idx] = w.runCell(ctx, pi, ri, again)
-			emit(idx)
-		}
-		return
-	}
-
-	// Fly the shared prefix on the leader and snapshot at the fork
-	// point. fallback marks the runtime Snapshotable refusal:
-	// something acted before the planned onset after all (e.g. a swept
-	// monitor threshold tight enough to trip during the benign hover).
-	fallback := false
-	perr, ppanic, pstack := protect(func() error {
-		if err := leader.RunToTickContext(ctx, g.forkTick); err != nil {
-			return err
-		}
-		if serr := leader.Snapshotable(); serr != nil {
-			fallback = true
-			return nil
-		}
-		leader.SnapshotInto(&w.snap)
-		return nil
-	})
-	if ppanic {
-		records[lidx] = w.panicRecord(leadPI, ri, perr, pstack)
-		emit(lidx)
-		for _, pi := range g.members[1:] {
-			idx := pi*w.spec.Runs + ri
-			records[idx] = w.runCell(ctx, pi, ri, again)
-			emit(idx)
-		}
-		return
-	}
-	if perr != nil {
-		for _, pi := range g.members {
-			idx := pi*w.spec.Runs + ri
-			records[idx] = w.errRecord(pi, ri, perr)
-			emit(idx)
-		}
-		return
-	}
-
-	// The leader's prefix is already flown, so resuming it IS its full
-	// flight — on the fallback path the other members fly ordinary
-	// full flights at the leader's seed. Results stay byte-identical
-	// to cold runs either way.
-	end := sim.TicksFor(leader.Cfg.Duration)
-	records[lidx] = w.protectedFinish(ctx, leader, leadPI, ri, seed)
-	if records[lidx].Err == "" {
-		w.stats.TicksFlown += end
-	}
-	emit(lidx)
-	if fallback {
-		for _, pi := range g.members[1:] {
-			idx := pi*w.spec.Runs + ri
-			records[idx] = w.runCell(ctx, pi, ri, again)
-			emit(idx)
-		}
-		return
-	}
-	for _, pi := range g.members[1:] {
+// fullFlights flies points pis at run index ri as full flights, each
+// one a protected, retried cell (runCell). It is the path of every
+// unforked group and the fork path's one degrade path.
+func (w *worker) fullFlights(ctx context.Context, pis []int, ri int, again bool, records []Record, emit func(int)) {
+	for _, pi := range pis {
 		idx := pi*w.spec.Runs + ri
-		var rec Record
-		ferr, fpanic, fstack := protect(func() error {
-			sys, err := w.groupSystem(gi, pi, seed)
-			if err != nil {
-				return err
-			}
-			sys.RestoreFrom(seed, &w.snap)
-			rec = w.finish(ctx, sys, pi, ri, seed)
-			return nil
-		})
-		switch {
-		case fpanic:
-			records[idx] = w.panicRecord(pi, ri, ferr, fstack)
-		case ferr != nil:
-			records[idx] = w.errRecord(pi, ri, ferr)
-			w.stats.RunsFailed++
-		default:
-			records[idx] = rec
-			if rec.Err == "" {
-				w.stats.TicksFlown += end - g.forkTick
-				w.stats.TicksSaved += g.forkTick
-				w.stats.ForkedRuns++
-			}
+		if err := ctx.Err(); err != nil {
+			records[idx] = w.errRecord(pi, ri, err)
+		} else {
+			records[idx] = w.runCell(ctx, pi, ri, again)
 		}
 		emit(idx)
 	}
 }
 
-// protectedFinish is finish inside the recover boundary: a panic
-// while resuming a mid-flight System settles the cell as quarantined
-// instead of killing the worker.
-func (w *worker) protectedFinish(ctx context.Context, sys *core.System, pi, ri int, seed uint64) Record {
+// runForkIndex flies one run index of a qualified fork group: the
+// leader's shared prefix, a snapshot, the rest of the leader's flight,
+// then every member forked from the snapshot. Each cell runs inside
+// the protect() boundary, so a panic fails only the cell it surfaced
+// on and drops the worker's cache. When the leader yields no snapshot
+// — its build failed or panicked, its prefix panicked, or the runtime
+// Snapshotable probe refused (something acted before the planned onset
+// after all, e.g. a swept monitor threshold tight enough to trip
+// during the benign hover) — the other members fly full flights, so
+// one poisoned (scenario, seed) point cannot sink its group, let alone
+// the campaign. Records stay byte-identical to cold runs either way.
+func (w *worker) runForkIndex(ctx context.Context, g *forkGroup, ri int, again bool, records []Record, emit func(int)) {
+	leadPI := g.leader()
+	forked := false
 	var rec Record
 	err, panicked, stack := protect(func() error {
-		rec = w.finish(ctx, sys, pi, ri, seed)
+		leader, err := w.system(leadPI, ri, again, nil)
+		if err != nil {
+			return err
+		}
+		if err := leader.RunToTickContext(ctx, g.forkTick); err != nil {
+			rec = w.errRecord(leadPI, ri, err)
+			return nil
+		}
+		if leader.Snapshotable() == nil {
+			leader.SnapshotInto(&w.snap)
+			forked = true
+		}
+		rec = w.fly(ctx, leader, leadPI, ri, 0)
 		return nil
 	})
-	if panicked {
-		return w.panicRecord(pi, ri, err, stack)
+	lidx := leadPI*w.spec.Runs + ri
+	records[lidx] = w.settle(ctx, leadPI, ri, rec, err, panicked, stack)
+	emit(lidx)
+	if !forked {
+		w.fullFlights(ctx, g.members[1:], ri, again, records, emit)
+		return
 	}
-	return rec
+	for _, pi := range g.members[1:] {
+		var rec Record
+		err, panicked, stack := protect(func() error {
+			sys, err := w.system(pi, ri, again, &w.snap)
+			if err != nil {
+				return err
+			}
+			rec = w.fly(ctx, sys, pi, ri, g.forkTick)
+			return nil
+		})
+		idx := pi*w.spec.Runs + ri
+		records[idx] = w.settle(ctx, pi, ri, rec, err, panicked, stack)
+		emit(idx)
+	}
 }
 
 // runCell executes one (point, run) cell as a full flight inside the
 // recover boundary. Transient failures retry with bounded exponential
-// backoff; a panic quarantines the cell — its failure record is
-// final — and discards the worker's warm pooled state, since the
-// panic may have unwound mid-mutation.
+// backoff; everything else settles the cell on its first attempt.
 func (w *worker) runCell(ctx context.Context, pi, ri int, again bool) Record {
-	var rec Record
 	for attempt := 0; ; attempt++ {
+		var rec Record
 		err, panicked, stack := protect(func() error {
-			if w.chaos != nil {
-				if cerr := w.chaos.BeforeRun(pi, ri, attempt); cerr != nil {
-					return cerr
+			if w.spec.Chaos != nil {
+				if err := w.spec.Chaos(pi, ri, attempt); err != nil {
+					return err
 				}
 			}
-			rec = w.runOne(ctx, pi, ri, again)
+			sys, err := w.system(pi, ri, again, nil)
+			if err != nil {
+				return err
+			}
+			rec = w.fly(ctx, sys, pi, ri, 0)
 			return nil
 		})
-		switch {
-		case panicked:
-			rec = w.panicRecord(pi, ri, err, stack)
-			rec.Retries = attempt
-			return rec
-		case err != nil && IsTransient(err) && attempt+1 < maxRunAttempts && ctx.Err() == nil:
+		if IsTransient(err) && attempt+1 < maxRunAttempts && ctx.Err() == nil {
 			w.stats.RunsRetried++
 			backoff(ctx, attempt)
 			continue
-		case err != nil:
-			rec = w.errRecord(pi, ri, err)
-			rec.Retries = attempt
-			w.stats.RunsFailed++
-			return rec
 		}
+		rec = w.settle(ctx, pi, ri, rec, err, panicked, stack)
 		rec.Retries = attempt
-		if rec.Err != "" && ctx.Err() == nil {
-			w.stats.RunsFailed++
-		}
 		return rec
 	}
 }
 
-// system returns a System ready to run (point pi, given seed): the
-// cached instance restored from its tick-0 snapshot when the point
-// matches, a cold build otherwise. again reports whether the worker
-// flies the point once more in this chunk; only then is a cold build
-// captured at tick 0 and cached.
-func (w *worker) system(pi int, seed uint64, again bool) (*core.System, error) {
-	if w.sys != nil && w.pi == pi {
-		w.sys.RestoreFrom(seed, &w.base)
-		return w.sys, nil
+// settle turns one protected cell attempt into the cell's record. A
+// panic quarantines the cell — its failure record is final, since the
+// simulator is deterministic and the same (scenario, seed) point would
+// panic identically on retry — and drops the worker's cache, since the
+// panic may have unwound mid-mutation. An error before the flight (a
+// build failure, a chaos error) becomes an error record. Both count as
+// failed runs, as does a flight that failed while the campaign was
+// live; a flight interrupted by cancellation does not.
+func (w *worker) settle(ctx context.Context, pi, ri int, rec Record, err error, panicked bool, stack []byte) Record {
+	switch {
+	case panicked:
+		w.cache = nil
+		rec = w.errRecord(pi, ri, err)
+		rec.Panicked = true
+		rec.Stack = string(stack)
+		w.stats.RunsPanicked++
+	case err != nil:
+		rec = w.errRecord(pi, ri, err)
+	case rec.Err == "" || ctx.Err() != nil:
+		return rec
+	}
+	w.stats.RunsFailed++
+	return rec
+}
+
+// system returns point pi's System for run index ri of the worker's
+// current group. With fork nil the System stands at tick 0: the cached
+// one restored from its tick-0 snapshot, or a cold build. With fork
+// set it is restored from that mid-run snapshot instead. A cold build
+// is cached only when the worker will fly the point again (again), and
+// captured at tick 0 only when it is to fly from there.
+func (w *worker) system(pi, ri int, again bool, fork *core.Snapshot) (*core.System, error) {
+	seed := w.seed(pi, ri)
+	if c := w.cache[pi]; c != nil && (fork != nil || c.based) {
+		if fork == nil {
+			fork = &c.base
+		}
+		c.sys.RestoreFrom(seed, fork)
+		return c.sys, nil
 	}
 	cfg, err := buildPoint(w.spec.Points[pi], w.spec, seed)
 	if err != nil {
@@ -674,97 +581,56 @@ func (w *worker) system(pi int, seed uint64, again bool) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if again && !w.spec.ColdStart {
-		sys.SnapshotInto(&w.base)
-		w.sys, w.pi = sys, pi
+	if fork != nil {
+		sys.RestoreFrom(seed, fork)
+	}
+	if again {
+		c := &warm{sys: sys, based: fork == nil}
+		if c.based {
+			sys.SnapshotInto(&c.base)
+		}
+		if w.cache == nil {
+			w.cache = make(map[int]*warm, len(w.plan.groups[w.gi].members))
+		}
+		w.cache[pi] = c
 	}
 	return sys, nil
 }
 
-// groupSystem is the fork path's warm cache: a System for point pi of
-// group gi. The map is dropped when the worker moves to a different
-// group, bounding residency at one group's width. The leader, which
-// flies from tick 0, comes back restored from its tick-0 snapshot
-// under seed; a member comes back as its last flight left it, for the
-// caller to restore from the fork snapshot.
-func (w *worker) groupSystem(gi, pi int, seed uint64) (*core.System, error) {
-	if w.gi != gi {
-		w.gi, w.group = gi, nil
-	}
-	leader := pi == w.plan.groups[gi].leader()
-	if sys := w.group[pi]; sys != nil {
-		if leader {
-			sys.RestoreFrom(seed, &w.lead)
-		}
-		return sys, nil
-	}
-	cfg, err := buildPoint(w.spec.Points[pi], w.spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if leader {
-		sys.SnapshotInto(&w.lead)
-	}
-	if w.group == nil {
-		w.group = make(map[int]*core.System, 8)
-	}
-	w.group[pi] = sys
-	return sys, nil
+// seed is the seed of cell (pi, ri): derived from the point's group
+// leader, so every member of a group flies the leader's seed.
+func (w *worker) seed(pi, ri int) uint64 {
+	return DeriveSeed(w.spec.BaseSeed, w.plan.leaderOf[pi], ri)
 }
 
 // errRecord is the shape of a cell that never ran: point identity,
 // its (leader-derived) seed, and the error — no build, no metrics.
 func (w *worker) errRecord(pi, ri int, err error) Record {
 	p := w.spec.Points[pi]
-	return Record{
-		Point:    p.Label,
-		Scenario: p.Scenario,
-		Run:      ri,
-		Seed:     DeriveSeed(w.spec.BaseSeed, w.plan.leaderOf[pi], ri),
-		Err:      err.Error(),
-	}
+	return Record{Point: p.Label, Scenario: p.Scenario, Run: ri, Seed: w.seed(pi, ri), Err: err.Error()}
 }
 
-// runOne executes a single (point, run) cell as a full flight.
-func (w *worker) runOne(ctx context.Context, pi, ri int, again bool) Record {
+// fly is every cell's fly-and-record step: it flies sys from its
+// current tick to the end of its flight and records cell (pi, ri).
+// from is the tick the cell's own flight began at: 0 for a full flight
+// (a fork leader's shared prefix included), the fork tick for a member
+// restored from the group's snapshot, whose prefix counts as saved.
+func (w *worker) fly(ctx context.Context, sys *core.System, pi, ri int, from int64) Record {
 	p := w.spec.Points[pi]
-	seed := DeriveSeed(w.spec.BaseSeed, w.plan.leaderOf[pi], ri)
-	rec := Record{Point: p.Label, Scenario: p.Scenario, Run: ri, Seed: seed}
-	sys, err := w.system(pi, seed, again)
-	if err != nil {
-		rec.Err = err.Error()
-		return rec
-	}
-	if sys.Cfg.Faults.Active() {
-		rec.Faults = sys.Cfg.Faults.String()
-	}
-	if err := sys.RunContextInto(ctx, &w.res); err != nil {
-		// An interrupted flight carries no trustworthy metrics. The
-		// cached System stays reusable: a restore rewinds mid-run state.
-		rec.Err = err.Error()
-		return rec
-	}
-	w.stats.TicksFlown += sim.TicksFor(sys.Cfg.Duration)
-	w.fill(&rec, &w.res)
-	return rec
-}
-
-// finish runs a mid-flight System — the fork leader after its prefix,
-// or a just-restored fork — to the end of its flight and builds the
-// cell's record.
-func (w *worker) finish(ctx context.Context, sys *core.System, pi, ri int, seed uint64) Record {
-	p := w.spec.Points[pi]
-	rec := Record{Point: p.Label, Scenario: p.Scenario, Run: ri, Seed: seed}
+	rec := Record{Point: p.Label, Scenario: p.Scenario, Run: ri, Seed: w.seed(pi, ri)}
 	if sys.Cfg.Faults.Active() {
 		rec.Faults = sys.Cfg.Faults.String()
 	}
 	if err := sys.ResumeContextInto(ctx, &w.res); err != nil {
+		// An interrupted flight carries no trustworthy metrics. A
+		// cached System stays reusable: a restore rewinds mid-run state.
 		rec.Err = err.Error()
 		return rec
+	}
+	w.stats.TicksFlown += sim.TicksFor(sys.Cfg.Duration) - from
+	if from > 0 {
+		w.stats.TicksSaved += from
+		w.stats.ForkedRuns++
 	}
 	w.fill(&rec, &w.res)
 	return rec

@@ -104,6 +104,22 @@ func TestCampaignRejectsBadSpecs(t *testing.T) {
 	if _, _, _, err := Run(context.Background(), spec); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
+	// A value core.New rejects must fail up front too, in either
+	// sharing mode, even when the bad cell is not the first.
+	for _, sw := range []Sweep{
+		{Key: "bus.capacity", Values: []float64{2e9, 0}},
+		{Key: "telemetry.rate", Values: []float64{100, 0}},
+	} {
+		for _, share := range []bool{false, true} {
+			spec := Spec{Points: Expand("gps-spoof", nil, []Sweep{sw}), Runs: 1,
+				Duration: time.Second, PrefixShare: share}
+			records, _, stats, err := Run(context.Background(), spec)
+			if err == nil || records != nil || stats.RunsFailed != 0 {
+				t.Fatalf("sweep %s=%v (share %v): err %v, %d records, stats %+v; want an up-front error",
+					sw.Key, sw.Values, share, err, len(records), stats)
+			}
+		}
+	}
 }
 
 func TestDeriveSeed(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // seeds, short flights, a single worker so warm-pool reuse is
 // exercised across the panic boundary (the worker that panics is the
 // worker that must rebuild and keep going).
-func chaosSpec(scenario string, runs int, chaos Chaos) Spec {
+func chaosSpec(scenario string, runs int, chaos func(point, run, attempt int) error) Spec {
 	return Spec{
 		Points:   []Point{{Label: scenario, Scenario: scenario}},
 		Runs:     runs,
@@ -35,15 +35,15 @@ func chaosSpec(scenario string, runs int, chaos Chaos) Spec {
 func TestChaosPanicIsolation(t *testing.T) {
 	const runs = 200
 	panicAt := map[int]bool{3: true, 17: true, 101: true, 199: true}
-	hook := ChaosFunc(func(point, run, attempt int) error {
+	hook := func(point, run, attempt int) error {
 		if panicAt[run] && attempt == 0 {
 			panic("chaos: injected panic")
 		}
 		return nil
-	})
+	}
 
-	clean, cleanAggs, _, err := Run(context.Background(), chaosSpec("baseline", runs, ChaosFunc(
-		func(point, run, attempt int) error { return nil })))
+	clean, cleanAggs, _, err := Run(context.Background(), chaosSpec("baseline", runs,
+		func(point, run, attempt int) error { return nil }))
 	if err != nil {
 		t.Fatalf("clean campaign: %v", err)
 	}
@@ -128,12 +128,12 @@ func TestChaosTransientRetry(t *testing.T) {
 	}
 
 	t.Run("transient-once", func(t *testing.T) {
-		hook := ChaosFunc(func(point, run, attempt int) error {
+		hook := func(point, run, attempt int) error {
 			if run == 1 && attempt == 0 {
 				return Transient(context.DeadlineExceeded)
 			}
 			return nil
-		})
+		}
 		records, aggs, stats, err := Run(context.Background(), chaosSpec("baseline", 3, hook))
 		if err != nil {
 			t.Fatal(err)
@@ -158,13 +158,13 @@ func TestChaosTransientRetry(t *testing.T) {
 
 	t.Run("permanent-no-retry", func(t *testing.T) {
 		attempts := 0
-		hook := ChaosFunc(func(point, run, attempt int) error {
+		hook := func(point, run, attempt int) error {
 			if run == 1 {
 				attempts++
 				return context.DeadlineExceeded // not marked Transient
 			}
 			return nil
-		})
+		}
 		records, _, stats, err := Run(context.Background(), chaosSpec("baseline", 3, hook))
 		if err != nil {
 			t.Fatal(err)
@@ -182,13 +182,13 @@ func TestChaosTransientRetry(t *testing.T) {
 
 	t.Run("transient-exhausted", func(t *testing.T) {
 		attempts := 0
-		hook := ChaosFunc(func(point, run, attempt int) error {
+		hook := func(point, run, attempt int) error {
 			if run == 0 {
 				attempts++
 				return Transient(context.DeadlineExceeded)
 			}
 			return nil
-		})
+		}
 		records, _, stats, err := Run(context.Background(), chaosSpec("baseline", 2, hook))
 		if err != nil {
 			t.Fatal(err)
@@ -227,10 +227,10 @@ func TestChaosPanicContracts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			hook := ChaosFunc(func(point, run, attempt int) error {
+			hook := func(point, run, attempt int) error {
 				tc.trigger()
 				return nil
-			})
+			}
 			records, aggs, stats, err := Run(context.Background(), chaosSpec("baseline", 1, hook))
 			if err != nil {
 				t.Fatalf("campaign must survive the panic: %v", err)
@@ -259,12 +259,12 @@ func TestChaosStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook := ChaosFunc(func(point, run, attempt int) error {
+	hook := func(point, run, attempt int) error {
 		if run == 1 && attempt == 0 {
 			time.Sleep(30 * time.Millisecond)
 		}
 		return nil
-	})
+	}
 	records, _, _, err := Run(context.Background(), chaosSpec("baseline", 3, hook))
 	if err != nil {
 		t.Fatal(err)

@@ -83,16 +83,18 @@ type forkPlan struct {
 	leaderOf []int
 }
 
-// planPrefixGroups classifies the campaign grid for prefix sharing.
-// Two points share a group when they build the same scenario into
-// Configs whose pre-onset behavior is provably identical: everything
-// except the attack plan, the post-onset action of the fault plan, and
-// the monitor's thresholds (rules and envelope) must agree. Those
-// exempt knobs only act at or after their scheduled onset —
-// attack/fault effects begin at their Start one-shots, and monitor
-// thresholds cannot fire during the benign pre-onset hover (a trip
-// would be caught by the runtime Snapshotable probe and the group
-// would fall back to full flights).
+// planPrefixGroups builds and validates every point's Config and
+// groups the campaign grid. Without PrefixShare every point leads its
+// own unforked group, reproducing the classic per-point campaign
+// exactly (including its seed derivation). With it, two points share a
+// group when they build the same scenario into Configs whose pre-onset
+// behavior is provably identical: everything except the attack plan,
+// the post-onset action of the fault plan, and the monitor's
+// thresholds (rules and envelope) must agree. Those exempt knobs only
+// act at or after their scheduled onset — attack/fault effects begin
+// at their Start one-shots, and monitor thresholds cannot fire during
+// the benign pre-onset hover (a trip would be caught by the runtime
+// Snapshotable probe and the group would fall back to full flights).
 //
 // Structural caveats honored here:
 //   - mav-replay faults stay in the fingerprint entirely: the capture
@@ -111,60 +113,43 @@ func planPrefixGroups(spec Spec) (*forkPlan, error) {
 		fingerprint string
 	}
 	index := make(map[groupKey]int)
-	ticks := make([]int64, 0, 4) // per-group earliest onset; 0 = none
+	var ends []int64 // per-group flight length in ticks
 	for pi, p := range spec.Points {
 		cfg, err := buildPoint(p, spec, 1)
+		if err == nil {
+			err = cfg.Validate()
+		}
 		if err != nil {
 			return nil, err
 		}
-		key := groupKey{p.Scenario, prefixFingerprint(cfg)}
-		gi, ok := index[key]
-		if !ok {
-			gi = len(plan.groups)
-			index[key] = gi
+		gi := len(plan.groups)
+		if spec.PrefixShare {
+			key := groupKey{p.Scenario, prefixFingerprint(cfg)}
+			if g, ok := index[key]; ok {
+				gi = g
+			} else {
+				index[key] = gi
+			}
+		}
+		if gi == len(plan.groups) {
 			plan.groups = append(plan.groups, forkGroup{})
-			ticks = append(ticks, 0)
+			ends = append(ends, sim.TicksFor(cfg.Duration))
 		}
 		g := &plan.groups[gi]
 		g.members = append(g.members, pi)
 		plan.leaderOf[pi] = g.members[0]
-		if t, ok := onsetTick(cfg); ok && (ticks[gi] == 0 || t < ticks[gi]) {
-			ticks[gi] = t
-		}
-	}
-	for gi := range plan.groups {
-		g := &plan.groups[gi]
-		if len(g.members) < 2 {
-			continue
-		}
-		// Qualify the group: the shared prefix must be a proper,
-		// non-empty slice of the flight.
-		cfg, err := buildPoint(spec.Points[g.leader()], spec, 1)
-		if err != nil {
-			return nil, err
-		}
-		end := sim.TicksFor(cfg.Duration)
-		if t := ticks[gi]; t > 0 && t < end {
+		if t, ok := onsetTick(cfg); ok && (g.forkTick == 0 || t < g.forkTick) {
 			g.forkTick = t
 		}
 	}
+	// Qualify each group: the shared prefix must be a proper,
+	// non-empty slice of a flight that at least two points share.
+	for gi := range plan.groups {
+		if g := &plan.groups[gi]; len(g.members) < 2 || g.forkTick >= ends[gi] {
+			g.forkTick = 0
+		}
+	}
 	return plan, nil
-}
-
-// singletonPlan is the fork-off grouping: every point is its own
-// group, never forked — the planner shape that reproduces the classic
-// per-point campaign exactly (including its seed derivation, since
-// each point leads itself).
-func singletonPlan(n int) *forkPlan {
-	plan := &forkPlan{
-		groups:   make([]forkGroup, n),
-		leaderOf: make([]int, n),
-	}
-	for pi := 0; pi < n; pi++ {
-		plan.groups[pi] = forkGroup{members: []int{pi}}
-		plan.leaderOf[pi] = pi
-	}
-	return plan
 }
 
 // prefixFingerprint renders the parts of a built Config that shape the

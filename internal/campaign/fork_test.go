@@ -35,16 +35,47 @@ func forkSpec(scenario string, runs int) Spec {
 // grouped seed derivation but disables both the warm pool and the
 // forking, so it is the ground-truth baseline). Scenarios with a
 // scheduled onset must actually fork; scenarios without one (baseline,
-// mission) must fall back transparently. CAMPAIGN_EQUIV_RUNS raises
-// the seed count from 2.
+// mission) must fall back transparently. The gps-spoof-fallback case
+// sweeps a receiving-interval threshold tight enough to trip during
+// the pre-onset hover: the planner groups its three points, the
+// runtime Snapshotable probe refuses every fork, and the members fly
+// full flights. CAMPAIGN_EQUIV_RUNS raises the seed count from 2.
 func TestForkEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fork equivalence flies every registry scenario; run without -short")
 	}
+	runs := equivRuns(t, 2)
+	type equivCase struct {
+		name   string
+		spec   Spec
+		groups int  // ForkGroups the planner qualifies
+		forked bool // whether the group's members actually fork
+	}
+	var cases []equivCase
 	for _, sc := range core.Scenarios() {
-		t.Run(sc.Name, func(t *testing.T) {
+		spec := forkSpec(sc.Name, runs)
+		cfg, err := core.Build(sc.Name, core.Options{Duration: spec.Duration})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tick, ok := onsetTick(cfg)
+		fork := ok && tick < sim.TicksFor(cfg.Duration)
+		groups := 0
+		if fork {
+			groups = 1
+		}
+		cases = append(cases, equivCase{sc.Name, spec, groups, fork})
+	}
+	fallback := forkSpec("gps-spoof", runs)
+	fallback.Points = Expand("gps-spoof", nil, []Sweep{
+		{Key: "monitor.max-interval", Values: []float64{0.001, 0.002, 0.003}},
+	})
+	cases = append(cases, equivCase{"gps-spoof-fallback", fallback, 1, false})
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			spec := forkSpec(sc.Name, equivRuns(t, 2))
+			spec := tc.spec
 
 			forkRec, forkAgg, stats, err := Run(context.Background(), spec)
 			if err != nil {
@@ -67,25 +98,20 @@ func TestForkEquivalence(t *testing.T) {
 					forkAgg, coldAgg)
 			}
 
-			cfg, err := core.Build(sc.Name, core.Options{Duration: spec.Duration})
-			if err != nil {
-				t.Fatal(err)
+			if stats.ForkGroups != tc.groups {
+				t.Fatalf("fork stats = %+v, want %d qualified groups", stats, tc.groups)
 			}
-			wantFork := false
-			if tick, ok := onsetTick(cfg); ok && tick < sim.TicksFor(cfg.Duration) {
-				wantFork = true
-			}
-			if wantFork {
-				// One group of two points: each run flies the prefix
-				// once and forks the second member.
-				if stats.ForkGroups != 1 || stats.ForkedRuns != spec.Runs {
-					t.Fatalf("fork stats = %+v, want 1 group and %d forked runs", stats, spec.Runs)
+			if tc.forked {
+				// One group: each run flies the prefix once and forks
+				// every other member.
+				if want := spec.Runs * (len(spec.Points) - 1); stats.ForkedRuns != want {
+					t.Fatalf("fork stats = %+v, want %d forked runs", stats, want)
 				}
 				if stats.TicksSaved == 0 || stats.PrefixShareRatio() <= 0 {
 					t.Fatalf("no ticks saved despite forking: %+v", stats)
 				}
 			} else if stats.ForkedRuns != 0 || stats.TicksSaved != 0 {
-				t.Fatalf("scenario without onset forked: %+v", stats)
+				t.Fatalf("unforkable group forked: %+v", stats)
 			}
 			if coldStats.ForkedRuns != 0 || coldStats.TicksSaved != 0 {
 				t.Fatalf("cold baseline forked: %+v", coldStats)

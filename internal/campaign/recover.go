@@ -59,24 +59,6 @@ func protect(fn func() error) (err error, panicked bool, stack []byte) {
 	return
 }
 
-// Chaos is the test-only fault-injection hook for the campaign worker
-// itself — the same discipline the simulator applies to the drone,
-// turned on the serving infrastructure. When set on a Spec, it runs
-// inside the recover boundary before every full-flight run attempt:
-// it may panic (a crash at the worker), stall (a hung dependency), or
-// return an error (Transient to exercise the retry path, anything
-// else for a permanent failure). point and run identify the cell;
-// attempt counts executions of that cell, starting at 0.
-type Chaos interface {
-	BeforeRun(point, run, attempt int) error
-}
-
-// ChaosFunc adapts a function to the Chaos interface.
-type ChaosFunc func(point, run, attempt int) error
-
-// BeforeRun implements Chaos.
-func (f ChaosFunc) BeforeRun(point, run, attempt int) error { return f(point, run, attempt) }
-
 // backoff sleeps the bounded-exponential retry delay for the given
 // completed attempt count, returning early if ctx is done.
 func backoff(ctx context.Context, attempt int) {

@@ -36,8 +36,8 @@ import (
 // spare P for the helper: every flight in progress holds one P and
 // every helper another, and a helper starts only if that leaves the
 // total within GOMAXPROCS. Campaign and service workers fly through
-// RunContextInto/ResumeContextInto, already keep every core busy, and
-// step the airframe inline. A pipelined flight that later finds the
+// ResumeContextInto, already keep every core busy, and step the
+// airframe inline. A pipelined flight that later finds the
 // process oversubscribed (other flights started after it) drops its
 // helper at the check, where the fence has held it, and finishes
 // inline, so its spinning never takes a core from another flight.

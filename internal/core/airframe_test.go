@@ -72,7 +72,7 @@ func flyInlineAndAside(t *testing.T, cfg Config, setup func(s *System, cancel co
 			return s.Result(), events, err
 		}
 		var r Result
-		err = s.RunContextInto(ctx, &r)
+		err = s.ResumeContextInto(ctx, &r)
 		return &r, events, err
 	}
 	want, wantEvents, wantErr := fly(false)

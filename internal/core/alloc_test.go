@@ -60,7 +60,7 @@ func warmRunAllocs(t *testing.T, cfg Config) float64 {
 	var res Result
 	run := func() {
 		sys.RestoreFrom(7, base)
-		if err := sys.RunContextInto(context.Background(), &res); err != nil {
+		if err := sys.ResumeContextInto(context.Background(), &res); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -95,16 +95,6 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	return s.Result(), err
 }
 
-// RunContextInto is RunContext writing the outcome into a caller-owned
-// Result whose slices are reused — the warm-pool campaign's per-run
-// path, which keeps a steady-state campaign run allocation-free. It
-// steps the airframes inline: campaign workers already fill every P.
-func (s *System) RunContextInto(ctx context.Context, r *Result) error {
-	err := s.fly(ctx, s.Engine.Clock().Ticks()+sim.TicksFor(s.Cfg.Duration), false)
-	s.resultInto(r)
-	return err
-}
-
 // RunToTickContext advances the run until the engine clock reaches the
 // absolute tick, Stop, or context cancellation — the fork campaign's
 // shared-prefix leg, after which the System can be snapshotted.
@@ -112,10 +102,12 @@ func (s *System) RunToTickContext(ctx context.Context, tick int64) error {
 	return s.fly(ctx, tick, false)
 }
 
-// ResumeContextInto advances a mid-run System (typically one just
-// restored from a Snapshot, or the prefix leader itself) to the end of
-// its configured flight and fills r, reusing r's backing slices — the
-// fork campaign's per-variant path.
+// ResumeContextInto advances the System from wherever its clock stands
+// (tick 0 after New or a tick-0 restore, mid-run after a fork restore
+// or a shared prefix) to the end of its configured flight and fills r,
+// reusing r's backing slices — the campaign worker's one flight path,
+// which keeps a steady-state campaign run allocation-free. It steps
+// the airframes inline: campaign workers already fill every P.
 func (s *System) ResumeContextInto(ctx context.Context, r *Result) error {
 	err := s.fly(ctx, sim.TicksFor(s.Cfg.Duration), false)
 	s.resultInto(r)

@@ -145,22 +145,7 @@ func (s *System) Member(i int) *Drone { return s.drones[i] }
 
 // New builds and wires a system from the config.
 func New(cfg Config) (*System, error) {
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("core: non-positive duration %v", cfg.Duration)
-	}
-	if cfg.BusCapacity <= 0 {
-		return nil, fmt.Errorf("core: non-positive bus capacity %v", cfg.BusCapacity)
-	}
-	if !(cfg.TelemetryRate > 0 && cfg.TelemetryRate <= 1/sim.Tick.Seconds()) {
-		return nil, fmt.Errorf("core: telemetry rate %v Hz outside (0, %v]", cfg.TelemetryRate, 1/sim.Tick.Seconds())
-	}
-	if cfg.Drones < 0 || cfg.Drones > MaxDrones {
-		return nil, fmt.Errorf("core: drone count %d outside [1, %d]", cfg.Drones, MaxDrones)
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validateMembers(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := cfg.DroneCount()
@@ -318,10 +303,28 @@ func AddSystemBaseline(cpu *sched.CPU) {
 	}
 }
 
-// validateMembers rejects member selectors outside the fleet and
-// fleet-only faults on a single drone, so a bad sweep fails at build
-// time instead of silently targeting the leader.
-func (c Config) validateMembers() error {
+// Validate runs every check New makes before it builds anything:
+// positive duration and bus capacity, a telemetry rate the tick can
+// sample, a fleet size within MaxDrones, sane fault specs, and member
+// selectors inside the fleet (fleet-only faults need a fleet), so a
+// bad sweep cell fails up front instead of silently targeting the
+// leader or failing mid-campaign.
+func (c Config) Validate() error {
+	if c.Duration <= 0 {
+		return fmt.Errorf("core: non-positive duration %v", c.Duration)
+	}
+	if c.BusCapacity <= 0 {
+		return fmt.Errorf("core: non-positive bus capacity %v", c.BusCapacity)
+	}
+	if !(c.TelemetryRate > 0 && c.TelemetryRate <= 1/sim.Tick.Seconds()) {
+		return fmt.Errorf("core: telemetry rate %v Hz outside (0, %v]", c.TelemetryRate, 1/sim.Tick.Seconds())
+	}
+	if c.Drones < 0 || c.Drones > MaxDrones {
+		return fmt.Errorf("core: drone count %d outside [1, %d]", c.Drones, MaxDrones)
+	}
+	if err := c.Faults.Validate(); err != nil {
+		return err
+	}
 	n := c.DroneCount()
 	if c.Attack.Kind != attack.KindNone {
 		if c.Attack.Member < 0 || c.Attack.Member >= n {

@@ -14,11 +14,11 @@ import (
 // must re-marshal to bytes that decode to the same request and marshal
 // identically again.
 func FuzzCampaignRequest(f *testing.F) {
-	for _, req := range []CampaignRequest{
+	for _, req := range append([]CampaignRequest{
 		sampleRequest(),
 		{SchemaVersion: SchemaVersion, Scenario: "baseline", Runs: 1},
 		{SchemaVersion: SchemaVersion, Scenario: "udpflood", Runs: 4, BaseSeed: 3, DurationS: 2},
-	} {
+	}, overflowRequests()...) {
 		b, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
@@ -40,6 +40,17 @@ func FuzzCampaignRequest(f *testing.F) {
 		req, err := DecodeCampaignRequest(bytes.NewReader(body))
 		if err != nil {
 			return
+		}
+		// The run cap sees TotalRuns: it must never undercount the
+		// grid, as a product that wrapped around would.
+		total := req.TotalRuns()
+		if total < max(req.Runs, 1) {
+			t.Fatalf("TotalRuns %d below runs %d", total, req.Runs)
+		}
+		for _, sw := range req.Sweeps {
+			if total < len(sw.Values) {
+				t.Fatalf("TotalRuns %d below a sweep of %d values", total, len(sw.Values))
+			}
 		}
 		first, err := json.Marshal(req)
 		if err != nil {

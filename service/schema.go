@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"containerdrone"
@@ -96,22 +97,28 @@ func (r *CampaignRequest) Validate() error {
 	return err
 }
 
-// Points returns the grid size of the request (sweep cartesian).
+// Points returns the grid size of the request (sweep cartesian),
+// saturating at math.MaxInt: a request is untrusted, and a product that
+// wrapped around would slip a huge grid under the server's run cap.
 func (r *CampaignRequest) Points() int {
 	n := 1
 	for _, sw := range r.Sweeps {
-		n *= len(sw.Values)
+		n = satMul(n, len(sw.Values))
 	}
 	return n
 }
 
-// TotalRuns returns points × runs-per-point.
+// TotalRuns returns points × runs-per-point, saturating like Points.
 func (r *CampaignRequest) TotalRuns() int {
-	runs := r.Runs
-	if runs <= 0 {
-		runs = 1
+	return satMul(r.Points(), max(r.Runs, 1))
+}
+
+// satMul is a×b for non-negative a and b, saturating at math.MaxInt.
+func satMul(a, b int) int {
+	if b != 0 && a > math.MaxInt/b {
+		return math.MaxInt
 	}
-	return r.Points() * runs
+	return a * b
 }
 
 // options lowers the request onto the SDK campaign options, with the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -141,6 +142,35 @@ func TestTotalRuns(t *testing.T) {
 	if got := minimal.TotalRuns(); got != 1 {
 		t.Fatalf("minimal TotalRuns = %d, want 1", got)
 	}
+	// Grids whose product overflows int decode fine and must saturate,
+	// not wrap to 0, so the server's run cap still rejects them.
+	for _, req := range overflowRequests() {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeCampaignRequest(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("decode %d sweeps × %d runs: %v", len(req.Sweeps), req.Runs, err)
+		}
+		if total := got.TotalRuns(); total != math.MaxInt {
+			t.Fatalf("%d sweeps × %d runs: TotalRuns = %d (Points %d), want saturation at MaxInt",
+				len(req.Sweeps), req.Runs, total, got.Points())
+		}
+	}
+}
+
+// overflowRequests are valid requests whose grid size overflows int:
+// 64 two-value sweeps (2^64 points), and 2^62 runs of a four-value
+// sweep.
+func overflowRequests() []CampaignRequest {
+	wide := CampaignRequest{SchemaVersion: SchemaVersion, Scenario: "baseline"}
+	for range 64 {
+		wide.Sweeps = append(wide.Sweeps, containerdrone.Sweep{Key: "wind", Values: []float64{0, 1}})
+	}
+	deep := CampaignRequest{SchemaVersion: SchemaVersion, Scenario: "baseline", Runs: 1 << 62,
+		Sweeps: []containerdrone.Sweep{{Key: "wind", Values: []float64{0, 1, 2, 3}}}}
+	return []CampaignRequest{wide, deep}
 }
 
 // TestValidateLongFlightAllocatesLittle: validating a request for an

@@ -106,11 +106,11 @@ func TestStreamRecordsSSE(t *testing.T) {
 
 func TestBadRequestsAre400(t *testing.T) {
 	_, cl := newTestServer(t, Config{Workers: 1, MaxRunsPerJob: 10})
-	for _, req := range []CampaignRequest{
+	for _, req := range append([]CampaignRequest{
 		{Scenario: "no-such-scenario"},
 		{Scenario: "baseline", Params: map[string]float64{"bogus": 1}},
 		{Scenario: "baseline", Runs: 100}, // over MaxRunsPerJob
-	} {
+	}, overflowRequests()...) {
 		_, err := cl.Submit(t.Context(), req)
 		apiErr, ok := err.(*APIError)
 		if !ok || apiErr.StatusCode != http.StatusBadRequest {
