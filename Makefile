@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench microbench fmt vet golden golden-update fuzz
+.PHONY: build test race bench microbench fmt vet golden golden-update fuzz loc
 
 build:
 	$(GO) build ./...
@@ -51,3 +51,8 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines outside perfbench/ (and its build directory): the
+# code-size figure ROADMAP and CHANGES.md track.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.perfbench/*' | xargs cat | wc -l

@@ -5,26 +5,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"containerdrone/internal/campaign"
 )
 
-// Sweep is one swept campaign parameter: a key from ParamInfos and
-// its value grid.
-type Sweep struct {
-	Key    string    `json:"key"`
-	Values []float64 `json:"values"`
-}
+// Sweep is one swept campaign parameter: a ParamInfos key and its value grid.
+type Sweep = campaign.Sweep
 
 // ParseSweep parses "key=v1,v2,v3" into a Sweep; values accept any Go
 // float syntax (so "attack.rate=1e9,4e9" works).
 func ParseSweep(s string) (Sweep, error) {
-	sw, err := campaign.ParseSweep(s)
-	if err != nil {
-		return Sweep{}, err
-	}
-	return Sweep{Key: sw.Key, Values: sw.Values}, nil
+	return campaign.ParseSweep(s)
 }
 
 // CampaignOption customizes a Campaign built by NewCampaign.
@@ -32,25 +25,25 @@ type CampaignOption func(*Campaign)
 
 // WithRuns sets the number of seeds per sweep point (default 1).
 func WithRuns(n int) CampaignOption {
-	return func(c *Campaign) { c.runs = n }
+	return func(c *Campaign) { c.spec.Runs = n }
 }
 
 // WithParallel sets the worker count (default 0 = GOMAXPROCS: the
 // schedulable CPU count, which respects quota and taskset limits).
 func WithParallel(workers int) CampaignOption {
-	return func(c *Campaign) { c.parallel = workers }
+	return func(c *Campaign) { c.spec.Parallel = workers }
 }
 
 // WithBaseSeed roots the deterministic per-run seed derivation
 // (default 1). A campaign is a pure function of (spec, base seed).
 func WithBaseSeed(seed uint64) CampaignOption {
-	return func(c *Campaign) { c.baseSeed = seed }
+	return func(c *Campaign) { c.spec.BaseSeed = seed }
 }
 
 // WithRunDuration overrides each flight's length (campaigns usually
 // run shorter flights than the paper figures).
 func WithRunDuration(d time.Duration) CampaignOption {
-	return func(c *Campaign) { c.duration = d }
+	return func(c *Campaign) { c.spec.Duration = d }
 }
 
 // WithSweep adds one swept parameter; repeated sweeps expand to their
@@ -102,11 +95,7 @@ func WithRecordObserver(fn func(Record)) CampaignOption {
 //	// ...
 //	if err := done(); err != nil { /* records.csv is incomplete */ }
 func StreamRecordsCSV(w io.Writer) (stream func(Record), done func() error, err error) {
-	s, d, err := campaign.NewRecordStreamer(w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return func(r Record) { s(campaign.Record(r)) }, d, nil
+	return campaign.NewRecordStreamer(w)
 }
 
 // WithPrefixSharing turns checkpoint-fork prefix sharing on or off
@@ -124,7 +113,7 @@ func StreamRecordsCSV(w io.Writer) (stream func(Record), done func() error, err 
 // variants are compared like for like. Campaigns therefore reproduce
 // bit-for-bit only across runs with the same sharing setting.
 func WithPrefixSharing(enabled bool) CampaignOption {
-	return func(c *Campaign) { c.prefixShare = enabled }
+	return func(c *Campaign) { c.spec.PrefixShare = enabled }
 }
 
 // Campaign is a Monte-Carlo experiment campaign over one scenario:
@@ -133,15 +122,11 @@ func WithPrefixSharing(enabled bool) CampaignOption {
 // deterministic: a campaign is a pure function of its options,
 // independent of worker count and scheduling.
 type Campaign struct {
-	scenario    string
-	params      map[string]float64
-	sweeps      []Sweep
-	runs        int
-	parallel    int
-	baseSeed    uint64
-	duration    time.Duration
-	prefixShare bool
-	observers   []func(Record)
+	scenario  string
+	params    map[string]float64
+	sweeps    []Sweep
+	spec      campaign.Spec // runs, parallel, base seed, duration, sharing
+	observers []func(Record)
 }
 
 // NewCampaign builds a campaign over a registered scenario:
@@ -151,7 +136,7 @@ type Campaign struct {
 //	    containerdrone.WithSweep("attack.rate", 2000, 8000, 32000))
 //	res, err := c.Run(ctx)
 func NewCampaign(scenario string, opts ...CampaignOption) *Campaign {
-	c := &Campaign{scenario: scenario, runs: 1, baseSeed: 1, prefixShare: true}
+	c := &Campaign{scenario: scenario, spec: campaign.Spec{Runs: 1, BaseSeed: 1, PrefixShare: true}}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -162,24 +147,20 @@ func NewCampaign(scenario string, opts ...CampaignOption) *Campaign {
 // partial result (cells that never ran carry a non-empty Record.Err)
 // together with the context's error.
 func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
-	sweeps := make([]campaign.Sweep, len(c.sweeps))
-	for i, sw := range c.sweeps {
-		sweeps[i] = campaign.Sweep{Key: sw.Key, Values: sw.Values}
+	points := 1
+	for _, sw := range c.sweeps {
+		points = campaign.SatMul(points, len(sw.Values))
 	}
-	spec := campaign.Spec{
-		Points:      campaign.Expand(c.scenario, c.params, sweeps),
-		Runs:        c.runs,
-		Parallel:    c.parallel,
-		BaseSeed:    c.baseSeed,
-		Duration:    c.duration,
-		PrefixShare: c.prefixShare,
+	if campaign.SatMul(points, max(c.spec.Runs, 1)) == math.MaxInt {
+		return nil, fmt.Errorf("campaign: %d sweeps × %d runs overflows the grid", len(c.sweeps), c.spec.Runs)
 	}
+	spec := c.spec
+	spec.Points = campaign.Expand(c.scenario, c.params, c.sweeps)
 	if len(c.observers) > 0 {
 		obs := c.observers
-		spec.Stream = func(r campaign.Record) {
-			pub := Record(r)
+		spec.Stream = func(r Record) {
 			for _, fn := range obs {
-				fn(pub)
+				fn(r)
 			}
 		}
 	}
@@ -187,140 +168,26 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 	if records == nil {
 		return nil, err
 	}
-	res := &CampaignResult{
+	return &CampaignResult{
 		SchemaVersion: SchemaVersion,
 		Scenario:      c.scenario,
 		Points:        len(spec.Points),
 		Runs:          spec.Runs,
 		BaseSeed:      spec.BaseSeed,
-		Stats: CampaignStats{
-			TicksFlown:       stats.TicksFlown,
-			TicksSaved:       stats.TicksSaved,
-			ForkGroups:       stats.ForkGroups,
-			ForkedRuns:       stats.ForkedRuns,
-			PrefixShareRatio: stats.PrefixShareRatio(),
-			RunsFailed:       stats.RunsFailed,
-			RunsPanicked:     stats.RunsPanicked,
-			RunsRetried:      stats.RunsRetried,
-		},
-	}
-	for _, r := range records {
-		res.Records = append(res.Records, Record(r))
-	}
-	for _, a := range aggs {
-		res.Aggregates = append(res.Aggregates, fromAggregate(a))
-	}
-	return res, err
+		Stats:         stats,
+		Records:       records,
+		Aggregates:    aggs,
+	}, err
 }
 
-// Record is the serializable outcome of one campaign run — the unit
-// collected from remote campaign workers. Times are in simulated
-// seconds so records serialize compactly and uniformly.
-type Record struct {
-	Point    string `json:"point"`
-	Scenario string `json:"scenario"`
-	// Faults names the run's injected fault plan (empty when
-	// fault-free), e.g. "gps-spoof" or "netsplit+jitter".
-	Faults   string  `json:"faults,omitempty"`
-	Run      int     `json:"run"`
-	Seed     uint64  `json:"seed"`
-	Crashed  bool    `json:"crashed"`
-	CrashS   float64 `json:"crash_s,omitempty"`
-	Switched bool    `json:"switched"`
-	SwitchS  float64 `json:"switch_s,omitempty"`
-	Rule     string  `json:"rule,omitempty"`
-	// RMSError and MaxDeviation are whole-flight tracking metrics (m).
-	RMSError     float64 `json:"rms_error_m"`
-	MaxDeviation float64 `json:"max_deviation_m"`
-	// MissRate is the worst deadline-miss rate across the host's
-	// flight-critical tasks.
-	MissRate float64 `json:"miss_rate"`
-	// Err records a build, run, or cancellation failure; such runs
-	// carry no metrics.
-	Err string `json:"err,omitempty"`
-	// Panicked marks a run that died to a panic recovered at the
-	// campaign worker's crash boundary; the (scenario, seed) point is
-	// quarantined — the failure record is final, never retried. Err
-	// carries the panic value and Stack the goroutine stack.
-	Panicked bool `json:"panicked,omitempty"`
-	// Retries counts re-executions after transient failures; 0 for
-	// first-attempt outcomes.
-	Retries int `json:"retries,omitempty"`
-	// Stack is the recovered panic's goroutine stack (JSON only; the
-	// records CSV omits it).
-	Stack string `json:"stack,omitempty"`
-}
+// Record is the serializable outcome of one campaign run.
+type Record = campaign.Record
 
 // Percentiles summarizes one metric over a run population.
-type Percentiles struct {
-	Mean float64 `json:"mean"`
-	P50  float64 `json:"p50"`
-	P90  float64 `json:"p90"`
-	P99  float64 `json:"p99"`
-	Max  float64 `json:"max"`
-}
+type Percentiles = campaign.Percentiles
 
 // Aggregate is the reduction of one sweep point's run population.
-type Aggregate struct {
-	Point    string `json:"point"`
-	Scenario string `json:"scenario"`
-	// Faults names the point's fault plan; FailoverRate doubles as
-	// the fault's detection rate.
-	Faults string `json:"faults,omitempty"`
-	Runs   int    `json:"runs"`
-	Errors int    `json:"errors,omitempty"`
-	// Panics counts the quarantined subset of Errors (recovered worker
-	// panics); Retried counts transient re-executions behind the
-	// point's final run outcomes.
-	Panics  int `json:"panics,omitempty"`
-	Retried int `json:"retried_runs,omitempty"`
-
-	Crashes   int     `json:"crashes"`
-	CrashRate float64 `json:"crash_rate"`
-
-	Failovers    int     `json:"failovers"`
-	FailoverRate float64 `json:"failover_rate"`
-	// RuleCounts tallies which security rule fired the failover.
-	RuleCounts map[string]int `json:"rule_counts,omitempty"`
-
-	// SwitchS summarizes the Simplex switch time (s) over failover
-	// runs only.
-	SwitchS Percentiles `json:"switch_s"`
-	// MissRate summarizes the worst flight-critical deadline-miss
-	// rate per run.
-	MissRate Percentiles `json:"miss_rate"`
-	// RMSError and MaxDeviation summarize whole-flight tracking (m).
-	RMSError     Percentiles `json:"rms_error_m"`
-	MaxDeviation Percentiles `json:"max_deviation_m"`
-}
-
-func fromAggregate(a campaign.Aggregate) Aggregate {
-	return Aggregate{
-		Point: a.Point, Scenario: a.Scenario, Faults: a.Faults, Runs: a.Runs, Errors: a.Errors,
-		Panics: a.Panics, Retried: a.Retried,
-		Crashes: a.Crashes, CrashRate: a.CrashRate,
-		Failovers: a.Failovers, FailoverRate: a.FailoverRate,
-		RuleCounts:   a.RuleCounts,
-		SwitchS:      Percentiles(a.SwitchS),
-		MissRate:     Percentiles(a.MissRate),
-		RMSError:     Percentiles(a.RMSError),
-		MaxDeviation: Percentiles(a.MaxDeviation),
-	}
-}
-
-func (a Aggregate) internal() campaign.Aggregate {
-	return campaign.Aggregate{
-		Point: a.Point, Scenario: a.Scenario, Faults: a.Faults, Runs: a.Runs, Errors: a.Errors,
-		Panics: a.Panics, Retried: a.Retried,
-		Crashes: a.Crashes, CrashRate: a.CrashRate,
-		Failovers: a.Failovers, FailoverRate: a.FailoverRate,
-		RuleCounts:   a.RuleCounts,
-		SwitchS:      campaign.Percentiles(a.SwitchS),
-		MissRate:     campaign.Percentiles(a.MissRate),
-		RMSError:     campaign.Percentiles(a.RMSError),
-		MaxDeviation: campaign.Percentiles(a.MaxDeviation),
-	}
-}
+type Aggregate = campaign.Aggregate
 
 // CampaignResult is the serializable outcome of a campaign: the raw
 // per-run records and the per-point aggregates. Like Result it is
@@ -337,51 +204,12 @@ type CampaignResult struct {
 	Aggregates    []Aggregate   `json:"aggregates"`
 }
 
-// CampaignStats reports the campaign's execution economics: how many
-// engine ticks actually ran, and how many a prefix-sharing campaign
-// avoided by forking variants from shared snapshots.
-type CampaignStats struct {
-	// TicksFlown counts engine ticks actually executed across all runs.
-	TicksFlown int64 `json:"ticks_flown"`
-	// TicksSaved counts prefix ticks forked runs did not re-fly.
-	TicksSaved int64 `json:"ticks_saved"`
-	// ForkGroups is how many sweep groups qualified for prefix sharing.
-	ForkGroups int `json:"fork_groups"`
-	// ForkedRuns is how many runs were restored from a snapshot.
-	ForkedRuns int `json:"forked_runs"`
-	// PrefixShareRatio is TicksSaved / (TicksFlown + TicksSaved): the
-	// fraction of demanded simulation work that sharing eliminated.
-	PrefixShareRatio float64 `json:"prefix_share_ratio"`
-
-	// RunsFailed counts runs that settled with a failure record after
-	// actually executing; RunsPanicked is the quarantined subset
-	// recovered at the worker crash boundary; RunsRetried counts
-	// transient re-executions. All zero on a healthy campaign, so its
-	// serialized output is byte-identical to pre-recovery builds.
-	RunsFailed   int64 `json:"runs_failed,omitempty"`
-	RunsPanicked int64 `json:"runs_panicked,omitempty"`
-	RunsRetried  int64 `json:"runs_retried,omitempty"`
-}
-
-func (r *CampaignResult) internalRecords() []campaign.Record {
-	out := make([]campaign.Record, len(r.Records))
-	for i, rec := range r.Records {
-		out[i] = campaign.Record(rec)
-	}
-	return out
-}
-
-func (r *CampaignResult) internalAggregates() []campaign.Aggregate {
-	out := make([]campaign.Aggregate, len(r.Aggregates))
-	for i, a := range r.Aggregates {
-		out[i] = a.internal()
-	}
-	return out
-}
+// CampaignStats is a campaign's execution economics: ticks flown and saved, and failures.
+type CampaignStats = campaign.Stats
 
 // Table renders the aggregates as an aligned text table.
 func (r *CampaignResult) Table() string {
-	return campaign.Table(r.internalAggregates())
+	return campaign.Table(r.Aggregates)
 }
 
 // Summary renders the standard campaign report: a header line, the
@@ -400,12 +228,12 @@ func (r *CampaignResult) Summary() string {
 // WriteRecordsCSV emits one CSV row per run; downstream plotting
 // scripts key on the stable header.
 func (r *CampaignResult) WriteRecordsCSV(w io.Writer) error {
-	return campaign.WriteRecordsCSV(w, r.internalRecords())
+	return campaign.WriteRecordsCSV(w, r.Records)
 }
 
 // WriteAggregatesCSV emits one CSV row per sweep point.
 func (r *CampaignResult) WriteAggregatesCSV(w io.Writer) error {
-	return campaign.WriteAggregatesCSV(w, r.internalAggregates())
+	return campaign.WriteAggregatesCSV(w, r.Aggregates)
 }
 
 // WriteJSON emits the full result as indented JSON.

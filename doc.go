@@ -57,7 +57,10 @@
 // field names: a Config can be dispatched to a remote worker and
 // rebuilt with NewFromConfig; a Result decoded from JSON renders the
 // same summaries, sparklines, plots, and CSVs as one produced
-// locally.
+// locally. Sweep, Record, Aggregate, Percentiles and CampaignStats are
+// aliases of the campaign engine's types: the SDK hands the engine's
+// records and aggregates to the caller as they are, and their JSON is
+// the engine's.
 //
 // # Campaigns
 //

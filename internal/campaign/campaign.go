@@ -16,6 +16,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -187,6 +188,10 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	if len(spec.Points) == 0 {
 		return nil, nil, stats, fmt.Errorf("campaign: no points")
 	}
+	total := SatMul(len(spec.Points), spec.Runs)
+	if total == math.MaxInt {
+		return nil, nil, stats, fmt.Errorf("campaign: %d points × %d runs overflows the grid", len(spec.Points), spec.Runs)
+	}
 	// The planner builds and validates every point's Config, so a typo
 	// in a sweep key or an out-of-range value fails the campaign before
 	// it burns CPU on the valid cells.
@@ -203,7 +208,6 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	total := len(spec.Points) * spec.Runs
 	if workers > total {
 		workers = total
 	}
@@ -360,6 +364,9 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	}
 	for _, ws := range workerStats {
 		stats.add(ws)
+	}
+	if demanded := stats.TicksFlown + stats.TicksSaved; demanded > 0 {
+		stats.PrefixShareRatio = float64(stats.TicksSaved) / float64(demanded)
 	}
 	return records, MergeShards(shards), stats, ctx.Err()
 }
@@ -662,8 +669,8 @@ func (w *worker) fill(rec *Record, res *core.Result) {
 
 // Sweep is one swept parameter: a key and its value grid.
 type Sweep struct {
-	Key    string
-	Values []float64
+	Key    string    `json:"key"`
+	Values []float64 `json:"values"`
 }
 
 // ParseSweep parses "key=v1,v2,v3" into a Sweep. Values accept any Go
@@ -683,6 +690,17 @@ func ParseSweep(s string) (Sweep, error) {
 		sw.Values = append(sw.Values, v)
 	}
 	return sw, nil
+}
+
+// SatMul is a×b for non-negative a and b, saturating at math.MaxInt:
+// the one grid-size product (points × values, points × runs). A size
+// that wrapped around would slip a huge grid past every cap, so callers
+// reject a math.MaxInt result instead of allocating for it.
+func SatMul(a, b int) int {
+	if b != 0 && a > math.MaxInt/b {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // Expand builds the cartesian grid of a scenario's sweeps as campaign

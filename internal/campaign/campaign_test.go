@@ -31,11 +31,11 @@ func TestCampaignDeterministicUnderParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, records, AggregateRecords(records)); err != nil {
+		out, err := json.Marshal([]any{records, AggregateRecords(records)})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return out
 	}
 	a, b := emit(), emit()
 	if !bytes.Equal(a, b) {
@@ -90,6 +90,12 @@ func TestCampaignRejectsBadSpecs(t *testing.T) {
 	}
 	if _, _, _, err := Run(context.Background(), Spec{Runs: 1}); err == nil {
 		t.Fatal("empty point set accepted")
+	}
+	// 4 points × 2^62 runs wraps to 0 in plain int arithmetic; the
+	// saturated count must be refused before anything is sized by it.
+	huge := Spec{Points: Expand("baseline", nil, []Sweep{{Key: "wind", Values: []float64{0, 1, 2, 3}}}), Runs: 1 << 62}
+	if records, _, _, err := Run(context.Background(), huge); err == nil || records != nil {
+		t.Fatalf("4 points × 2^62 runs: err %v, %d records; want an up-front error", err, len(records))
 	}
 	// A bad sweep key must fail up front, before any run executes.
 	spec := Spec{
@@ -268,12 +274,16 @@ func TestEmitters(t *testing.T) {
 		t.Fatalf("aggregates CSV has %d lines, want 2", len(lines))
 	}
 
-	var jsonBuf bytes.Buffer
-	if err := WriteJSON(&jsonBuf, records, aggs); err != nil {
+	type report struct {
+		Records    []Record
+		Aggregates []Aggregate
+	}
+	out, err := json.Marshal(report{records, aggs})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var rep Report
-	if err := json.Unmarshal(jsonBuf.Bytes(), &rep); err != nil {
+	var rep report
+	if err := json.Unmarshal(out, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Records) != 2 || len(rep.Aggregates) != 1 {

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"io"
 	"strconv"
 )
@@ -117,19 +116,6 @@ func NewRecordStreamer(w io.Writer) (stream func(Record), done func() error, err
 		return cw.Error()
 	}
 	return stream, done, nil
-}
-
-// Report bundles a campaign's raw and reduced outputs for JSON.
-type Report struct {
-	Records    []Record    `json:"records"`
-	Aggregates []Aggregate `json:"aggregates"`
-}
-
-// WriteJSON emits the full campaign report as indented JSON.
-func WriteJSON(w io.Writer, records []Record, aggs []Aggregate) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Report{Records: records, Aggregates: aggs})
 }
 
 // f formats a float compactly for CSV cells.

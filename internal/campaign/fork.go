@@ -28,6 +28,10 @@ type Stats struct {
 	// ForkedRuns is the number of runs that were restored from a
 	// snapshot rather than flown from tick zero.
 	ForkedRuns int `json:"forked_runs"`
+	// PrefixShareRatio is the fraction of total demanded ticks that
+	// prefix sharing avoided: saved / (flown + saved), set once the
+	// pool drains. Zero when nothing forked.
+	PrefixShareRatio float64 `json:"prefix_share_ratio"`
 
 	// RunsFailed counts runs that settled with a failure record after
 	// actually executing (panics, build failures, injected permanent
@@ -39,16 +43,6 @@ type Stats struct {
 	RunsFailed   int64 `json:"runs_failed,omitempty"`
 	RunsPanicked int64 `json:"runs_panicked,omitempty"`
 	RunsRetried  int64 `json:"runs_retried,omitempty"`
-}
-
-// PrefixShareRatio is the fraction of total demanded ticks that prefix
-// sharing avoided: saved / (flown + saved). Zero when nothing forked.
-func (s Stats) PrefixShareRatio() float64 {
-	total := s.TicksFlown + s.TicksSaved
-	if total == 0 {
-		return 0
-	}
-	return float64(s.TicksSaved) / float64(total)
 }
 
 func (s *Stats) add(o Stats) {

@@ -107,7 +107,7 @@ func TestForkEquivalence(t *testing.T) {
 				if want := spec.Runs * (len(spec.Points) - 1); stats.ForkedRuns != want {
 					t.Fatalf("fork stats = %+v, want %d forked runs", stats, want)
 				}
-				if stats.TicksSaved == 0 || stats.PrefixShareRatio() <= 0 {
+				if stats.TicksSaved == 0 || stats.PrefixShareRatio <= 0 {
 					t.Fatalf("no ticks saved despite forking: %+v", stats)
 				}
 			} else if stats.ForkedRuns != 0 || stats.TicksSaved != 0 {

@@ -350,3 +350,17 @@ func TestCampaignCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignRejectsOverflowingGrid checks that a grid whose size
+// overflows int is refused before it is expanded: 64 two-value sweeps
+// are 2^64 points, which Expand would otherwise try to build.
+func TestCampaignRejectsOverflowingGrid(t *testing.T) {
+	var opts []containerdrone.CampaignOption
+	for i := 0; i < 64; i++ {
+		opts = append(opts, containerdrone.WithSweep("wind", 0, 1))
+	}
+	res, err := containerdrone.NewCampaign("baseline", opts...).Run(context.Background())
+	if err == nil || res != nil {
+		t.Fatalf("64 two-value sweeps: result %v, err %v; want an up-front error", res, err)
+	}
+}

@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"containerdrone"
+	"containerdrone/internal/campaign"
 )
 
 // SchemaVersion is stamped into every service request and response.
@@ -103,22 +103,14 @@ func (r *CampaignRequest) Validate() error {
 func (r *CampaignRequest) Points() int {
 	n := 1
 	for _, sw := range r.Sweeps {
-		n = satMul(n, len(sw.Values))
+		n = campaign.SatMul(n, len(sw.Values))
 	}
 	return n
 }
 
 // TotalRuns returns points × runs-per-point, saturating like Points.
 func (r *CampaignRequest) TotalRuns() int {
-	return satMul(r.Points(), max(r.Runs, 1))
-}
-
-// satMul is a×b for non-negative a and b, saturating at math.MaxInt.
-func satMul(a, b int) int {
-	if b != 0 && a > math.MaxInt/b {
-		return math.MaxInt
-	}
-	return a * b
+	return campaign.SatMul(r.Points(), max(r.Runs, 1))
 }
 
 // options lowers the request onto the SDK campaign options, with the

@@ -14,7 +14,8 @@ import (
 
 // roundTrip marshals v, decodes into a fresh instance, re-marshals,
 // and requires byte identity — the wire format must be a fixed point.
-func roundTrip[T any](t *testing.T, v T) {
+// It returns the encoding so callers can pin it to a literal.
+func roundTrip[T any](t *testing.T, v T) []byte {
 	t.Helper()
 	first, err := json.Marshal(v)
 	if err != nil {
@@ -31,6 +32,7 @@ func roundTrip[T any](t *testing.T, v T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("round trip not byte-identical:\n first %s\nsecond %s", first, second)
 	}
+	return first
 }
 
 func sampleRequest() CampaignRequest {
@@ -49,18 +51,183 @@ func sampleRequest() CampaignRequest {
 	}
 }
 
-func TestSchemaRoundTrips(t *testing.T) {
-	roundTrip(t, sampleRequest())
-	roundTrip(t, SubmitResponse{SchemaVersion: SchemaVersion, JobID: "j-00000001", Tenant: "a", Status: StatusQueued, QueueDepth: 3})
-	roundTrip(t, JobStatus{
+// sampleRequestJSON and sampleStatusJSON pin the v1 wire format byte
+// for byte. A round trip alone cannot catch a renamed or reordered key;
+// these literals can, so a change to them is a schema change.
+const (
+	sampleRequestJSON = `{
+	"schema_version": 1,
+	"scenario": "udpflood",
+	"runs": 16,
+	"base_seed": 7,
+	"duration_s": 2.5,
+	"params": {
+		"iptables.rate": 4000,
+		"monitor.enabled": 1
+	},
+	"sweeps": [
+		{
+			"key": "attack.rate",
+			"values": [
+				2000,
+				8000,
+				32000
+			]
+		}
+	],
+	"parallel": 2,
+	"timeout_s": 30
+}`
+	sampleStatusJSON = `{
+	"schema_version": 1,
+	"job_id": "j-00000002",
+	"tenant": "b",
+	"status": "done",
+	"error": "context deadline exceeded",
+	"partial": true,
+	"runs_done": 5,
+	"runs_total": 8,
+	"waited_s": 0.25,
+	"ran_s": 1.5,
+	"result": {
+		"schema_version": 1,
+		"scenario": "gps-spoof",
+		"points": 1,
+		"runs": 5,
+		"base_seed": 1,
+		"stats": {
+			"ticks_flown": 3000,
+			"ticks_saved": 1000,
+			"fork_groups": 1,
+			"forked_runs": 3,
+			"prefix_share_ratio": 0.25,
+			"runs_failed": 2,
+			"runs_panicked": 1,
+			"runs_retried": 4
+		},
+		"records": [
+			{
+				"point": "gps-spoof/fault.rate=2",
+				"scenario": "gps-spoof",
+				"faults": "gps-spoof",
+				"run": 3,
+				"seed": 42,
+				"crashed": true,
+				"crash_s": 11.5,
+				"switched": true,
+				"switch_s": 10.25,
+				"rule": "position-error",
+				"rms_error_m": 0.25,
+				"max_deviation_m": 1.75,
+				"miss_rate": 0.0625,
+				"err": "panic: boom",
+				"panicked": true,
+				"retries": 2,
+				"stack": "goroutine 1 [running]:"
+			}
+		],
+		"aggregates": [
+			{
+				"point": "gps-spoof/fault.rate=2",
+				"scenario": "gps-spoof",
+				"faults": "gps-spoof",
+				"runs": 5,
+				"errors": 2,
+				"panics": 1,
+				"retried_runs": 4,
+				"crashes": 1,
+				"crash_rate": 0.2,
+				"failovers": 4,
+				"failover_rate": 0.8,
+				"rule_counts": {
+					"attitude-error": 1,
+					"position-error": 3
+				},
+				"switch_s": {
+					"mean": 10,
+					"p50": 10.125,
+					"p90": 10.25,
+					"p99": 10.5,
+					"max": 11
+				},
+				"miss_rate": {
+					"mean": 0,
+					"p50": 0.125,
+					"p90": 0.25,
+					"p99": 0.5,
+					"max": 1
+				},
+				"rms_error_m": {
+					"mean": 0.25,
+					"p50": 0.375,
+					"p90": 0.5,
+					"p99": 0.75,
+					"max": 1.25
+				},
+				"max_deviation_m": {
+					"mean": 1.5,
+					"p50": 1.625,
+					"p90": 1.75,
+					"p99": 2,
+					"max": 2.5
+				}
+			}
+		]
+	}
+}`
+)
+
+// sampleStatus is a terminal job whose result sets every record field,
+// an aggregate with rule counts and percentiles, and every stats field.
+func sampleStatus() JobStatus {
+	pct := func(base float64) containerdrone.Percentiles {
+		return containerdrone.Percentiles{Mean: base, P50: base + 0.125, P90: base + 0.25, P99: base + 0.5, Max: base + 1}
+	}
+	return JobStatus{
 		SchemaVersion: SchemaVersion, JobID: "j-00000002", Tenant: "b",
 		Status: StatusDone, Partial: true, Error: "context deadline exceeded",
 		RunsDone: 5, RunsTotal: 8, WaitedS: 0.25, RanS: 1.5,
 		Result: &containerdrone.CampaignResult{
-			SchemaVersion: 1, Scenario: "baseline", Points: 1, Runs: 5, BaseSeed: 1,
-			Records: []containerdrone.Record{{Point: "baseline", Scenario: "baseline", Run: 0, Seed: 42, RMSError: 0.25}},
+			SchemaVersion: 1, Scenario: "gps-spoof", Points: 1, Runs: 5, BaseSeed: 1,
+			Stats: containerdrone.CampaignStats{
+				TicksFlown: 3000, TicksSaved: 1000, ForkGroups: 1, ForkedRuns: 3,
+				PrefixShareRatio: 0.25, RunsFailed: 2, RunsPanicked: 1, RunsRetried: 4,
+			},
+			Records: []containerdrone.Record{{
+				Point: "gps-spoof/fault.rate=2", Scenario: "gps-spoof", Faults: "gps-spoof",
+				Run: 3, Seed: 42, Crashed: true, CrashS: 11.5, Switched: true, SwitchS: 10.25,
+				Rule: "position-error", RMSError: 0.25, MaxDeviation: 1.75, MissRate: 0.0625,
+				Err: "panic: boom", Panicked: true, Retries: 2, Stack: "goroutine 1 [running]:",
+			}},
+			Aggregates: []containerdrone.Aggregate{{
+				Point: "gps-spoof/fault.rate=2", Scenario: "gps-spoof", Faults: "gps-spoof",
+				Runs: 5, Errors: 2, Panics: 1, Retried: 4,
+				Crashes: 1, CrashRate: 0.2, Failovers: 4, FailoverRate: 0.8,
+				RuleCounts: map[string]int{"attitude-error": 1, "position-error": 3},
+				SwitchS:    pct(10), MissRate: pct(0), RMSError: pct(0.25), MaxDeviation: pct(1.5),
+			}},
 		},
-	})
+	}
+}
+
+// pinned requires the compact encoding got to equal want once both are
+// tab-indented; indentation only adds whitespace, so the comparison is
+// still byte for byte on keys, order and values.
+func pinned(t *testing.T, got []byte, want string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, got, "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Errorf("wire format changed:\n got %s\nwant %s", buf.String(), want)
+	}
+}
+
+func TestSchemaRoundTrips(t *testing.T) {
+	pinned(t, roundTrip(t, sampleRequest()), sampleRequestJSON)
+	roundTrip(t, SubmitResponse{SchemaVersion: SchemaVersion, JobID: "j-00000001", Tenant: "a", Status: StatusQueued, QueueDepth: 3})
+	pinned(t, roundTrip(t, sampleStatus()), sampleStatusJSON)
 	roundTrip(t, ErrorResponse{SchemaVersion: SchemaVersion, Error: "tenant over quota", Reason: "quota", RetryAfterS: 2})
 	roundTrip(t, MetricsSnapshot{
 		SchemaVersion: SchemaVersion, UptimeS: 12.5, QueueDepth: 2, QueueCap: 64,
