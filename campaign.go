@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"containerdrone/internal/campaign"
@@ -143,19 +142,33 @@ func NewCampaign(scenario string, opts ...CampaignOption) *Campaign {
 	return c
 }
 
+// engineSpec sizes the campaign, then expands it into the engine's spec.
+func (c *Campaign) engineSpec() (spec campaign.Spec, err error) {
+	spec = c.spec
+	if _, err = campaign.Size(1, c.sweeps, spec.Runs); err == nil {
+		spec.Points, err = campaign.Expand(c.scenario, c.params, c.sweeps)
+	}
+	return spec, err
+}
+
+// Validate applies Run's checks without running anything: the
+// campaign's size against the engine's ceiling, then every grid cell.
+func (c *Campaign) Validate() error {
+	spec, err := c.engineSpec()
+	if err == nil {
+		err = campaign.Validate(spec)
+	}
+	return err
+}
+
 // Run executes the campaign. On context cancellation it returns the
 // partial result (cells that never ran carry a non-empty Record.Err)
 // together with the context's error.
 func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
-	points := 1
-	for _, sw := range c.sweeps {
-		points = campaign.SatMul(points, len(sw.Values))
+	spec, err := c.engineSpec()
+	if err != nil {
+		return nil, err
 	}
-	if campaign.SatMul(points, max(c.spec.Runs, 1)) == math.MaxInt {
-		return nil, fmt.Errorf("campaign: %d sweeps × %d runs overflows the grid", len(c.sweeps), c.spec.Runs)
-	}
-	spec := c.spec
-	spec.Points = campaign.Expand(c.scenario, c.params, c.sweeps)
 	if len(c.observers) > 0 {
 		obs := c.observers
 		spec.Stream = func(r Record) {

@@ -182,19 +182,12 @@ func DeriveSeed(base uint64, point, run int) uint64 {
 // aggregates are identical to AggregateRecords over the same records.
 func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	var stats Stats
-	if spec.Runs <= 0 {
-		return nil, nil, stats, fmt.Errorf("campaign: non-positive run count %d", spec.Runs)
+	total, err := Size(len(spec.Points), nil, spec.Runs)
+	if err != nil {
+		return nil, nil, stats, err
 	}
-	if len(spec.Points) == 0 {
-		return nil, nil, stats, fmt.Errorf("campaign: no points")
-	}
-	total := SatMul(len(spec.Points), spec.Runs)
-	if total == math.MaxInt {
-		return nil, nil, stats, fmt.Errorf("campaign: %d points × %d runs overflows the grid", len(spec.Points), spec.Runs)
-	}
-	// The planner builds and validates every point's Config, so a typo
-	// in a sweep key or an out-of-range value fails the campaign before
-	// it burns CPU on the valid cells.
+	// The planner checks every cell first, so one bad sweep value fails
+	// the campaign before any flight.
 	plan, err := planPrefixGroups(spec)
 	if err != nil {
 		return nil, nil, stats, err
@@ -378,13 +371,28 @@ type indexedRecord struct {
 	rec Record
 }
 
-// buildPoint constructs the Config for one run of a point.
+// buildPoint is the one per-cell check: it builds and validates the
+// Config for one run of a point, covering all of core.New's checks.
 func buildPoint(p Point, spec Spec, seed uint64) (core.Config, error) {
-	return core.Build(p.Scenario, core.Options{
+	cfg, err := core.Build(p.Scenario, core.Options{
 		Seed:     seed,
 		Duration: spec.Duration,
 		Params:   p.Params,
 	})
+	if err == nil {
+		err = cfg.Validate()
+	}
+	return cfg, err
+}
+
+// Validate applies Run's gate without running anything: the spec's
+// Size, then the per-cell check on every point.
+func Validate(spec Spec) error {
+	_, err := Size(len(spec.Points), nil, spec.Runs)
+	for i := 0; err == nil && i < len(spec.Points); i++ {
+		_, err = buildPoint(spec.Points[i], spec, 1)
+	}
+	return err
 }
 
 // worker is one pool member's run state. Every cell it flies takes
@@ -692,10 +700,33 @@ func ParseSweep(s string) (Sweep, error) {
 	return sw, nil
 }
 
-// SatMul is a×b for non-negative a and b, saturating at math.MaxInt:
-// the one grid-size product (points × values, points × runs). A size
-// that wrapped around would slip a huge grid past every cap, so callers
-// reject a math.MaxInt result instead of allocating for it.
+// MaxRuns is the engine's ceiling on a campaign's points × runs: 16×
+// campaignd's default cap, and about 184 MB of records when full.
+const MaxRuns = 1 << 20
+
+// Size is the one sizing gate: points × Π len(sweep values) × runs,
+// computed without expanding anything. It refuses an empty grid or
+// sweep and any size above MaxRuns, and returns the size either way,
+// saturated at math.MaxInt rather than wrapped.
+func Size(points int, sweeps []Sweep, runs int) (int, error) {
+	if points <= 0 || runs <= 0 {
+		return 0, fmt.Errorf("campaign: grid of %d points × %d runs is empty", points, runs)
+	}
+	n := SatMul(points, runs)
+	for _, sw := range sweeps {
+		if len(sw.Values) == 0 {
+			return 0, fmt.Errorf("campaign: sweep %q has no values", sw.Key)
+		}
+		n = SatMul(n, len(sw.Values))
+	}
+	if n > MaxRuns {
+		return n, fmt.Errorf("campaign: grid of %d runs exceeds the engine ceiling of %d", n, MaxRuns)
+	}
+	return n, nil
+}
+
+// SatMul is a×b for non-negative a and b, saturating at math.MaxInt, so
+// a grid size can never wrap around below a cap.
 func SatMul(a, b int) int {
 	if b != 0 && a > math.MaxInt/b {
 		return math.MaxInt
@@ -707,7 +738,11 @@ func SatMul(a, b int) int {
 // points. base params (may be nil) apply to every cell; with no
 // sweeps the result is the single base point. Point labels encode the
 // swept coordinates, e.g. "memdos/attack.rate=2e+09/attack.start=5".
-func Expand(scenario string, base map[string]float64, sweeps []Sweep) []Point {
+// A grid Size refuses is refused before anything is built.
+func Expand(scenario string, base map[string]float64, sweeps []Sweep) ([]Point, error) {
+	if _, err := Size(1, sweeps, 1); err != nil {
+		return nil, err
+	}
 	points := []Point{{Label: scenario, Scenario: scenario, Params: cloneParams(base)}}
 	for _, sw := range sweeps {
 		next := make([]Point, 0, len(points)*len(sw.Values))
@@ -727,7 +762,7 @@ func Expand(scenario string, base map[string]float64, sweeps []Sweep) []Point {
 		}
 		points = next
 	}
-	return points
+	return points, nil
 }
 
 func cloneParams(m map[string]float64) map[string]float64 {

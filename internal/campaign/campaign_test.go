@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // flights, executed by 4 workers so worker interleaving is real.
 func shortSpec() Spec {
 	return Spec{
-		Points:   Expand("baseline", nil, []Sweep{{Key: "wind", Values: []float64{0, 1}}}),
+		Points:   mustExpand("baseline", nil, []Sweep{{Key: "wind", Values: []float64{0, 1}}}),
 		Runs:     3,
 		Parallel: 4,
 		BaseSeed: 99,
@@ -93,7 +94,7 @@ func TestCampaignRejectsBadSpecs(t *testing.T) {
 	}
 	// 4 points × 2^62 runs wraps to 0 in plain int arithmetic; the
 	// saturated count must be refused before anything is sized by it.
-	huge := Spec{Points: Expand("baseline", nil, []Sweep{{Key: "wind", Values: []float64{0, 1, 2, 3}}}), Runs: 1 << 62}
+	huge := Spec{Points: mustExpand("baseline", nil, []Sweep{{Key: "wind", Values: []float64{0, 1, 2, 3}}}), Runs: 1 << 62}
 	if records, _, _, err := Run(context.Background(), huge); err == nil || records != nil {
 		t.Fatalf("4 points × 2^62 runs: err %v, %d records; want an up-front error", err, len(records))
 	}
@@ -111,18 +112,25 @@ func TestCampaignRejectsBadSpecs(t *testing.T) {
 		t.Fatal("unknown scenario accepted")
 	}
 	// A value core.New rejects must fail up front too, in either
-	// sharing mode, even when the bad cell is not the first.
+	// sharing mode, even when the bad cell is not the first; Validate
+	// refuses it with the same error without running anything.
+	if err := Validate(shortSpec()); err != nil {
+		t.Fatalf("Validate refused a good spec: %v", err)
+	}
 	for _, sw := range []Sweep{
 		{Key: "bus.capacity", Values: []float64{2e9, 0}},
 		{Key: "telemetry.rate", Values: []float64{100, 0}},
 	} {
 		for _, share := range []bool{false, true} {
-			spec := Spec{Points: Expand("gps-spoof", nil, []Sweep{sw}), Runs: 1,
+			spec := Spec{Points: mustExpand("gps-spoof", nil, []Sweep{sw}), Runs: 1,
 				Duration: time.Second, PrefixShare: share}
 			records, _, stats, err := Run(context.Background(), spec)
 			if err == nil || records != nil || stats.RunsFailed != 0 {
 				t.Fatalf("sweep %s=%v (share %v): err %v, %d records, stats %+v; want an up-front error",
 					sw.Key, sw.Values, share, err, len(records), stats)
+			}
+			if verr := Validate(spec); verr == nil || verr.Error() != err.Error() {
+				t.Fatalf("sweep %s=%v: Validate says %v, Run says %v", sw.Key, sw.Values, verr, err)
 			}
 		}
 	}
@@ -166,7 +174,7 @@ func TestParseSweep(t *testing.T) {
 }
 
 func TestExpandCartesian(t *testing.T) {
-	points := Expand("memdos",
+	points := mustExpand("memdos",
 		map[string]float64{"bus.capacity": 50e6},
 		[]Sweep{
 			{Key: "attack.rate", Values: []float64{1e9, 2e9}},
@@ -192,9 +200,60 @@ func TestExpandCartesian(t *testing.T) {
 		t.Fatalf("labels not distinct: %v", labels)
 	}
 	// No sweeps → single point, base params preserved, label = scenario.
-	single := Expand("kill", nil, nil)
+	single := mustExpand("kill", nil, nil)
 	if len(single) != 1 || single[0].Label != "kill" {
 		t.Fatalf("no-sweep expand = %+v", single)
+	}
+}
+
+// mustExpand is Expand for a test's known-good grid.
+func mustExpand(scenario string, base map[string]float64, sweeps []Sweep) []Point {
+	points, err := Expand(scenario, base, sweeps)
+	if err != nil {
+		panic(err)
+	}
+	return points
+}
+
+// TestSize pins the one sizing gate: points × values × runs, refused
+// for an empty sweep, a non-positive count or a size above MaxRuns, and
+// saturated rather than wrapped when refused for size.
+func TestSize(t *testing.T) {
+	two := Sweep{Key: "wind", Values: []float64{0, 1}}
+	if n, err := Size(3, []Sweep{two, two}, 5); n != 60 || err != nil {
+		t.Fatalf("3 points × 2 × 2 × 5 runs: %d, %v", n, err)
+	}
+	if n, err := Size(1, nil, MaxRuns); n != MaxRuns || err != nil {
+		t.Fatalf("a campaign at the ceiling: %d, %v", n, err)
+	}
+	var wide []Sweep
+	for range 64 {
+		wide = append(wide, two)
+	}
+	for _, tc := range []struct {
+		name   string
+		points int
+		sweeps []Sweep
+		runs   int
+		want   string
+		size   int
+	}{
+		{"one past the ceiling", 1, nil, MaxRuns + 1, "ceiling", MaxRuns + 1},
+		{"2^64 points", 1, wide, 1, "ceiling", math.MaxInt},
+		{"4 points × 2^62 runs", 4, nil, 1 << 62, "ceiling", math.MaxInt},
+		{"empty sweep", 1, []Sweep{two, {Key: "attack.rate"}}, 1, "attack.rate", 0},
+		{"zero runs", 1, nil, 0, "is empty", 0},
+		{"no points", 0, nil, 1, "is empty", 0},
+	} {
+		n, err := Size(tc.points, tc.sweeps, tc.runs)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || n != tc.size {
+			t.Errorf("%s: size %d, err %v; want %d and an error mentioning %q", tc.name, n, err, tc.size, tc.want)
+		}
+	}
+	// Expand applies the gate before it builds a single point: a 2^30
+	// point grid would take gigabytes.
+	if points, err := Expand("baseline", nil, wide[:30]); err == nil || points != nil {
+		t.Fatalf("2^30-point grid: %d points, err %v; want an up-front error", len(points), err)
 	}
 }
 

@@ -77,8 +77,8 @@ type forkPlan struct {
 	leaderOf []int
 }
 
-// planPrefixGroups builds and validates every point's Config and
-// groups the campaign grid. Without PrefixShare every point leads its
+// planPrefixGroups runs the per-cell check on every point and groups
+// the campaign grid. Without PrefixShare every point leads its
 // own unforked group, reproducing the classic per-point campaign
 // exactly (including its seed derivation). With it, two points share a
 // group when they build the same scenario into Configs whose pre-onset
@@ -110,9 +110,6 @@ func planPrefixGroups(spec Spec) (*forkPlan, error) {
 	var ends []int64 // per-group flight length in ticks
 	for pi, p := range spec.Points {
 		cfg, err := buildPoint(p, spec, 1)
-		if err == nil {
-			err = cfg.Validate()
-		}
 		if err != nil {
 			return nil, err
 		}

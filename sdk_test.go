@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -351,16 +352,30 @@ func TestCampaignCancel(t *testing.T) {
 	}
 }
 
-// TestCampaignRejectsOverflowingGrid checks that a grid whose size
-// overflows int is refused before it is expanded: 64 two-value sweeps
-// are 2^64 points, which Expand would otherwise try to build.
+// TestCampaignRejectsOverflowingGrid checks that a grid above the
+// engine's run ceiling is refused before anything is sized by it: 64
+// two-value sweeps are 2^64 points, which overflow int; 30 are 2^30
+// points, which Expand would build into gigabytes; and one point of
+// 2^40 runs would size a 202 TB record slice.
 func TestCampaignRejectsOverflowingGrid(t *testing.T) {
-	var opts []containerdrone.CampaignOption
-	for i := 0; i < 64; i++ {
-		opts = append(opts, containerdrone.WithSweep("wind", 0, 1))
+	sweeps := func(n int) []containerdrone.CampaignOption {
+		var opts []containerdrone.CampaignOption
+		for range n {
+			opts = append(opts, containerdrone.WithSweep("wind", 0, 1))
+		}
+		return opts
 	}
-	res, err := containerdrone.NewCampaign("baseline", opts...).Run(context.Background())
-	if err == nil || res != nil {
-		t.Fatalf("64 two-value sweeps: result %v, err %v; want an up-front error", res, err)
+	for name, opts := range map[string][]containerdrone.CampaignOption{
+		"64 two-value sweeps": sweeps(64),
+		"30 two-value sweeps": sweeps(30),
+		"2^40 runs":           {containerdrone.WithRuns(1 << 40)},
+	} {
+		c := containerdrone.NewCampaign("baseline", opts...)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "ceiling") {
+			t.Errorf("%s: Validate says %v; want the ceiling error", name, err)
+		}
+		if res, err := c.Run(context.Background()); err == nil || res != nil {
+			t.Errorf("%s: result %v, err %v; want an up-front error", name, res, err)
+		}
 	}
 }

@@ -10,6 +10,10 @@
 // The server survives heavy concurrent traffic by design rather than
 // by luck:
 //
+//   - Cheap checks first: submit decodes strictly, checks the fields,
+//     then the run cap (Config.MaxRunsPerJob, campaignd -max-runs, which
+//     can only lower the engine's hard ceiling of 1,048,576 runs), and
+//     only then builds and validates every grid cell's configuration.
 //   - Per-tenant token-bucket quotas (rate + burst) and max-in-flight
 //     caps. A tenant over quota gets 429 with a Retry-After hint; one
 //     tenant's burst cannot starve another's steady trickle.

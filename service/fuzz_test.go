@@ -7,12 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"containerdrone/internal/campaign"
 )
 
 // FuzzCampaignRequest feeds hostile bytes to the submit decoder: strict
-// decoding plus Validate must never panic, and every request it accepts
-// must re-marshal to bytes that decode to the same request and marshal
-// identically again.
+// decoding plus Validate must never panic, every request it accepts
+// must stay within the engine's run ceiling, and must re-marshal to
+// bytes that decode to the same request and marshal identically again.
+// The overflow requests seed it as requests the ceiling refuses.
 func FuzzCampaignRequest(f *testing.F) {
 	for _, req := range append([]CampaignRequest{
 		sampleRequest(),
@@ -42,8 +45,12 @@ func FuzzCampaignRequest(f *testing.F) {
 			return
 		}
 		// The run cap sees TotalRuns: it must never undercount the
-		// grid, as a product that wrapped around would.
+		// grid, as a product that wrapped around would, and no
+		// accepted request may cost more than the engine's ceiling.
 		total := req.TotalRuns()
+		if total > campaign.MaxRuns {
+			t.Fatalf("accepted a request of %d runs, above the ceiling of %d", total, campaign.MaxRuns)
+		}
 		if total < max(req.Runs, 1) {
 			t.Fatalf("TotalRuns %d below runs %d", total, req.Runs)
 		}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -53,87 +54,52 @@ type CampaignRequest struct {
 	TimeoutS float64 `json:"timeout_s,omitempty"`
 }
 
-// Validate checks everything that can be checked without running:
-// schema version, scenario and parameter existence (including sweep
-// keys), and value sanity. It is the submit-time gate — a typo fails
-// the request with 400 instead of burning a worker slot.
-func (r *CampaignRequest) Validate() error {
-	if r.SchemaVersion != SchemaVersion {
+// Validate checks everything that can be checked without running: the
+// request's fields, its size against the engine's ceiling, then every
+// grid cell, so a typo in any cell fails with 400, not as a job.
+func (r *CampaignRequest) Validate() error { return r.admit(campaign.MaxRuns) }
+
+// admit is Validate with a run cap, checked before any cell so that a
+// short request cannot buy a million cell checks before it is refused.
+func (r *CampaignRequest) admit(maxRuns int) error {
+	switch {
+	case r.SchemaVersion != SchemaVersion:
 		return fmt.Errorf("%w: request schema v%d, this server speaks v%d", ErrSchemaVersion, r.SchemaVersion, SchemaVersion)
-	}
-	if r.Scenario == "" {
+	case r.Scenario == "":
 		return fmt.Errorf("request names no scenario")
-	}
-	if r.Runs < 0 {
-		return fmt.Errorf("negative runs %d", r.Runs)
-	}
-	if r.DurationS < 0 || r.TimeoutS < 0 {
+	case r.DurationS < 0 || r.TimeoutS < 0:
 		return fmt.Errorf("negative duration or timeout")
-	}
-	if r.Parallel < 0 {
+	case r.Parallel < 0:
 		return fmt.Errorf("negative parallel %d", r.Parallel)
 	}
-	for _, sw := range r.Sweeps {
-		if sw.Key == "" || len(sw.Values) == 0 {
-			return fmt.Errorf("sweep with empty key or value grid")
-		}
+	total, err := campaign.Size(1, r.Sweeps, cmp.Or(r.Runs, 1))
+	if err == nil && total > maxRuns {
+		err = fmt.Errorf("request asks for %d runs; this server caps jobs at %d", total, maxRuns)
 	}
-	// Probe-build the first grid cell: resolves the scenario through
-	// the registry and applies every param key (base params and sweep
-	// keys alike), surfacing unknown names here. ~60µs — cheap
-	// insurance for a multi-run campaign.
-	probe := make(map[string]float64, len(r.Params)+len(r.Sweeps))
-	for k, v := range r.Params {
-		probe[k] = v
+	if err != nil {
+		return err
 	}
-	for _, sw := range r.Sweeps {
-		probe[sw.Key] = sw.Values[0]
-	}
-	_, err := containerdrone.NewFromConfig(containerdrone.Config{
-		Scenario:  r.Scenario,
-		DurationS: r.DurationS,
-		Params:    probe,
-	})
-	return err
+	return r.campaign().Validate()
 }
 
-// Points returns the grid size of the request (sweep cartesian),
-// saturating at math.MaxInt: a request is untrusted, and a product that
-// wrapped around would slip a huge grid under the server's run cap.
-func (r *CampaignRequest) Points() int {
-	n := 1
-	for _, sw := range r.Sweeps {
-		n = campaign.SatMul(n, len(sw.Values))
-	}
+// TotalRuns returns points × runs-per-point as the engine sizes it,
+// saturated at math.MaxInt so a wrapped product cannot slip the run cap.
+func (r *CampaignRequest) TotalRuns() int {
+	n, _ := campaign.Size(1, r.Sweeps, cmp.Or(r.Runs, 1))
 	return n
 }
 
-// TotalRuns returns points × runs-per-point, saturating like Points.
-func (r *CampaignRequest) TotalRuns() int {
-	return campaign.SatMul(r.Points(), max(r.Runs, 1))
-}
-
-// options lowers the request onto the SDK campaign options, with the
-// worker count resolved by the server.
-func (r *CampaignRequest) options(parallel int) []containerdrone.CampaignOption {
-	opts := []containerdrone.CampaignOption{
+// campaign lowers the request onto an SDK campaign: the one lowering,
+// so the submit gate and the job run see the same grid and flights.
+func (r *CampaignRequest) campaign(extra ...containerdrone.CampaignOption) *containerdrone.Campaign {
+	return containerdrone.NewCampaign(r.Scenario, append([]containerdrone.CampaignOption{
+		containerdrone.WithRuns(cmp.Or(r.Runs, 1)),
+		containerdrone.WithBaseSeed(cmp.Or(r.BaseSeed, 1)),
+		containerdrone.WithRunDuration(time.Duration(r.DurationS * float64(time.Second))),
+		containerdrone.WithBaseParams(r.Params),
 		containerdrone.WithSweeps(r.Sweeps...),
-		containerdrone.WithParallel(parallel),
 		containerdrone.WithPrefixSharing(!r.NoPrefixShare),
-	}
-	if r.Runs > 0 {
-		opts = append(opts, containerdrone.WithRuns(r.Runs))
-	}
-	if r.BaseSeed != 0 {
-		opts = append(opts, containerdrone.WithBaseSeed(r.BaseSeed))
-	}
-	if r.DurationS > 0 {
-		opts = append(opts, containerdrone.WithRunDuration(time.Duration(r.DurationS*float64(time.Second))))
-	}
-	if len(r.Params) > 0 {
-		opts = append(opts, containerdrone.WithBaseParams(r.Params))
-	}
-	return opts
+	}, extra...)...)
 }
 
 // Job status strings reported by SubmitResponse and JobStatus.

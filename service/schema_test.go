@@ -285,6 +285,10 @@ func TestValidateCatchesBadRequests(t *testing.T) {
 			r.Scenario = "mav-replay"
 			r.Params = map[string]float64{"fault.magnitude": 1e15}
 		}, "capture"},
+		{"bad later sweep cell", func(r *CampaignRequest) {
+			r.Scenario = "gps-spoof"
+			r.Sweeps = []containerdrone.Sweep{{Key: "bus.capacity", Values: []float64{2e9, 0}}}
+		}, "bus capacity"},
 	}
 	for _, tc := range cases {
 		req := sampleRequest()
@@ -309,25 +313,24 @@ func TestTotalRuns(t *testing.T) {
 	if got := minimal.TotalRuns(); got != 1 {
 		t.Fatalf("minimal TotalRuns = %d, want 1", got)
 	}
-	// Grids whose product overflows int decode fine and must saturate,
-	// not wrap to 0, so the server's run cap still rejects them.
+	// Grids whose product overflows int must saturate, not wrap to 0,
+	// and decoding refuses them at the engine's run ceiling.
 	for _, req := range overflowRequests() {
+		if total := req.TotalRuns(); total != math.MaxInt {
+			t.Fatalf("%d sweeps × %d runs: TotalRuns = %d, want saturation at MaxInt",
+				len(req.Sweeps), req.Runs, total)
+		}
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeCampaignRequest(bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("decode %d sweeps × %d runs: %v", len(req.Sweeps), req.Runs, err)
-		}
-		if total := got.TotalRuns(); total != math.MaxInt {
-			t.Fatalf("%d sweeps × %d runs: TotalRuns = %d (Points %d), want saturation at MaxInt",
-				len(req.Sweeps), req.Runs, total, got.Points())
+		if _, err := DecodeCampaignRequest(bytes.NewReader(body)); err == nil || !strings.Contains(err.Error(), "ceiling") {
+			t.Fatalf("decode %d sweeps × %d runs: %v; want the ceiling error", len(req.Sweeps), req.Runs, err)
 		}
 	}
 }
 
-// overflowRequests are valid requests whose grid size overflows int:
+// overflowRequests are well-formed requests whose grid size overflows int:
 // 64 two-value sweeps (2^64 points), and 2^62 runs of a four-value
 // sweep.
 func overflowRequests() []CampaignRequest {

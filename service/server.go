@@ -269,14 +269,13 @@ func tenantOf(r *http.Request) string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
-	req, err := DecodeCampaignRequest(r.Body)
+	var req CampaignRequest
+	err := decodeStrict(r.Body, &req)
+	if err == nil {
+		err = req.admit(s.cfg.MaxRunsPerJob)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
-		return
-	}
-	if total := req.TotalRuns(); total > s.cfg.MaxRunsPerJob {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("request asks for %d runs; this server caps jobs at %d", total, s.cfg.MaxRunsPerJob), 0)
 		return
 	}
 	ok, retry, reason := s.quotas.admit(tenant)
@@ -485,8 +484,7 @@ func (s *Server) runJob(j *job) {
 			parallel = s.cfg.MaxJobParallel
 		}
 	}
-	opts := append(j.req.options(parallel), containerdrone.WithRecordObserver(j.emit))
-	res, err := containerdrone.NewCampaign(j.req.Scenario, opts...).Run(ctx)
+	res, err := j.req.campaign(containerdrone.WithParallel(parallel), containerdrone.WithRecordObserver(j.emit)).Run(ctx)
 	s.settle(j, res, err, errors.Is(err, context.Canceled))
 }
 

@@ -106,15 +106,33 @@ func TestStreamRecordsSSE(t *testing.T) {
 
 func TestBadRequestsAre400(t *testing.T) {
 	_, cl := newTestServer(t, Config{Workers: 1, MaxRunsPerJob: 10})
-	for _, req := range append([]CampaignRequest{
-		{Scenario: "no-such-scenario"},
-		{Scenario: "baseline", Params: map[string]float64{"bogus": 1}},
-		{Scenario: "baseline", Runs: 100}, // over MaxRunsPerJob
-	}, overflowRequests()...) {
-		_, err := cl.Submit(t.Context(), req)
+	// 1,000 points whose last cell is invalid: the run cap refuses the
+	// request before any cell is checked.
+	capFirst := make([]float64, 1000)
+	for i := range capFirst[:999] {
+		capFirst[i] = 2e9
+	}
+	type badCase struct {
+		req  CampaignRequest
+		want string
+	}
+	cases := []badCase{
+		{CampaignRequest{Scenario: "no-such-scenario"}, "scenario"},
+		{CampaignRequest{Scenario: "baseline", Params: map[string]float64{"bogus": 1}}, "bogus"},
+		{CampaignRequest{Scenario: "baseline", Runs: 100}, "caps jobs at 10"},
+		{CampaignRequest{Scenario: "gps-spoof",
+			Sweeps: []containerdrone.Sweep{{Key: "bus.capacity", Values: []float64{2e9, 0}}}}, "bus capacity"},
+		{CampaignRequest{Scenario: "gps-spoof",
+			Sweeps: []containerdrone.Sweep{{Key: "bus.capacity", Values: capFirst}}}, "caps jobs at 10"},
+	}
+	for _, req := range overflowRequests() {
+		cases = append(cases, badCase{req, "ceiling"})
+	}
+	for _, tc := range cases {
+		_, err := cl.Submit(t.Context(), tc.req)
 		apiErr, ok := err.(*APIError)
-		if !ok || apiErr.StatusCode != http.StatusBadRequest {
-			t.Fatalf("request %+v: want 400, got %v", req, err)
+		if !ok || apiErr.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, tc.want) {
+			t.Errorf("%s request with %d sweeps: want 400 mentioning %q, got %v", tc.req.Scenario, len(tc.req.Sweeps), tc.want, err)
 		}
 	}
 }
