@@ -146,7 +146,7 @@ func NewCampaign(scenario string, opts ...CampaignOption) *Campaign {
 func (c *Campaign) engineSpec() (spec campaign.Spec, err error) {
 	spec = c.spec
 	if _, err = campaign.Size(1, c.sweeps, spec.Runs); err == nil {
-		spec.Points, err = campaign.Expand(c.scenario, c.params, c.sweeps)
+		spec.Points = campaign.Expand(c.scenario, c.params, c.sweeps)
 	}
 	return spec, err
 }

@@ -48,7 +48,7 @@ func main() {
 		quotaRate     = flag.Float64("quota-rate", 0, "per-tenant submissions/s token-bucket refill (0 = unlimited)")
 		quotaBurst    = flag.Int("quota-burst", 1, "per-tenant token-bucket burst")
 		maxInFlight   = flag.Int("max-in-flight", 0, "per-tenant queued+running job cap (0 = unlimited)")
-		maxRuns       = flag.Int("max-runs", 65536, "per-job total run cap; the engine ceiling of 1048576 runs bounds it")
+		maxRuns       = flag.Int("max-runs", 65536, "per-job total run cap; the engine ceilings of 65536 points and 1048576 runs bound it")
 		jobTimeout    = flag.Duration("job-timeout", 60*time.Second, "default per-job deadline")
 		maxTimeout    = flag.Duration("max-job-timeout", 10*time.Minute, "cap on request-supplied deadlines")
 		drainTimeout  = flag.Duration("drain-timeout", 5*time.Minute, "graceful-drain bound; in-flight jobs are canceled past it")

@@ -11,7 +11,7 @@ import (
 // flights, enough runs to keep every worker busy.
 func benchSpec(parallel int) Spec {
 	return Spec{
-		Points:   mustExpand("memdos", nil, nil),
+		Points:   Expand("memdos", nil, nil),
 		Runs:     8,
 		Parallel: parallel,
 		BaseSeed: 1,

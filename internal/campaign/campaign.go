@@ -182,16 +182,13 @@ func DeriveSeed(base uint64, point, run int) uint64 {
 // aggregates are identical to AggregateRecords over the same records.
 func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	var stats Stats
-	total, err := Size(len(spec.Points), nil, spec.Runs)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	// The planner checks every cell first, so one bad sweep value fails
-	// the campaign before any flight.
+	// The planner sizes the spec and checks every cell first, so an
+	// oversized grid or one bad sweep value fails before any flight.
 	plan, err := planPrefixGroups(spec)
 	if err != nil {
 		return nil, nil, stats, err
 	}
+	total := len(spec.Points) * spec.Runs // sized by the planner
 	for _, g := range plan.groups {
 		if g.forkTick > 0 {
 			stats.ForkGroups++
@@ -385,13 +382,11 @@ func buildPoint(p Point, spec Spec, seed uint64) (core.Config, error) {
 	return cfg, err
 }
 
-// Validate applies Run's gate without running anything: the spec's
-// Size, then the per-cell check on every point.
+// Validate applies Run's gate, the planner's, without running
+// anything. Prefix grouping is switched off: it decides no validity.
 func Validate(spec Spec) error {
-	_, err := Size(len(spec.Points), nil, spec.Runs)
-	for i := 0; err == nil && i < len(spec.Points); i++ {
-		_, err = buildPoint(spec.Points[i], spec, 1)
-	}
+	spec.PrefixShare = false
+	_, err := planPrefixGroups(spec)
 	return err
 }
 
@@ -700,26 +695,33 @@ func ParseSweep(s string) (Sweep, error) {
 	return sw, nil
 }
 
-// MaxRuns is the engine's ceiling on a campaign's points × runs: 16×
-// campaignd's default cap, and about 184 MB of records when full.
-const MaxRuns = 1 << 20
+// The engine's ceilings: a grid point costs 1.5–3 KB to expand and
+// check, a run one 184 B Record, so a full grid stays near 200 MB. Both
+// are at or above campaignd's default cap of 65,536 runs.
+const (
+	MaxPoints = 1 << 16
+	MaxRuns   = 1 << 20
+)
 
 // Size is the one sizing gate: points × Π len(sweep values) × runs,
 // computed without expanding anything. It refuses an empty grid or
-// sweep and any size above MaxRuns, and returns the size either way,
-// saturated at math.MaxInt rather than wrapped.
+// sweep and a grid above either ceiling, and returns the run count
+// either way, saturated at math.MaxInt rather than wrapped.
 func Size(points int, sweeps []Sweep, runs int) (int, error) {
 	if points <= 0 || runs <= 0 {
 		return 0, fmt.Errorf("campaign: grid of %d points × %d runs is empty", points, runs)
 	}
-	n := SatMul(points, runs)
 	for _, sw := range sweeps {
 		if len(sw.Values) == 0 {
 			return 0, fmt.Errorf("campaign: sweep %q has no values", sw.Key)
 		}
-		n = SatMul(n, len(sw.Values))
+		points = SatMul(points, len(sw.Values))
 	}
-	if n > MaxRuns {
+	n := SatMul(points, runs)
+	switch {
+	case points > MaxPoints:
+		return n, fmt.Errorf("campaign: grid of %d points exceeds the engine ceiling of %d", points, MaxPoints)
+	case n > MaxRuns:
 		return n, fmt.Errorf("campaign: grid of %d runs exceeds the engine ceiling of %d", n, MaxRuns)
 	}
 	return n, nil
@@ -738,11 +740,8 @@ func SatMul(a, b int) int {
 // points. base params (may be nil) apply to every cell; with no
 // sweeps the result is the single base point. Point labels encode the
 // swept coordinates, e.g. "memdos/attack.rate=2e+09/attack.start=5".
-// A grid Size refuses is refused before anything is built.
-func Expand(scenario string, base map[string]float64, sweeps []Sweep) ([]Point, error) {
-	if _, err := Size(1, sweeps, 1); err != nil {
-		return nil, err
-	}
+// Expand sizes nothing: callers check the grid with Size first.
+func Expand(scenario string, base map[string]float64, sweeps []Sweep) []Point {
 	points := []Point{{Label: scenario, Scenario: scenario, Params: cloneParams(base)}}
 	for _, sw := range sweeps {
 		next := make([]Point, 0, len(points)*len(sw.Values))
@@ -762,7 +761,7 @@ func Expand(scenario string, base map[string]float64, sweeps []Sweep) ([]Point, 
 		}
 		points = next
 	}
-	return points, nil
+	return points
 }
 
 func cloneParams(m map[string]float64) map[string]float64 {

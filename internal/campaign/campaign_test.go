@@ -15,7 +15,7 @@ import (
 // flights, executed by 4 workers so worker interleaving is real.
 func shortSpec() Spec {
 	return Spec{
-		Points:   mustExpand("baseline", nil, []Sweep{{Key: "wind", Values: []float64{0, 1}}}),
+		Points:   Expand("baseline", nil, []Sweep{{Key: "wind", Values: []float64{0, 1}}}),
 		Runs:     3,
 		Parallel: 4,
 		BaseSeed: 99,
@@ -94,7 +94,7 @@ func TestCampaignRejectsBadSpecs(t *testing.T) {
 	}
 	// 4 points × 2^62 runs wraps to 0 in plain int arithmetic; the
 	// saturated count must be refused before anything is sized by it.
-	huge := Spec{Points: mustExpand("baseline", nil, []Sweep{{Key: "wind", Values: []float64{0, 1, 2, 3}}}), Runs: 1 << 62}
+	huge := Spec{Points: Expand("baseline", nil, []Sweep{{Key: "wind", Values: []float64{0, 1, 2, 3}}}), Runs: 1 << 62}
 	if records, _, _, err := Run(context.Background(), huge); err == nil || records != nil {
 		t.Fatalf("4 points × 2^62 runs: err %v, %d records; want an up-front error", err, len(records))
 	}
@@ -122,7 +122,7 @@ func TestCampaignRejectsBadSpecs(t *testing.T) {
 		{Key: "telemetry.rate", Values: []float64{100, 0}},
 	} {
 		for _, share := range []bool{false, true} {
-			spec := Spec{Points: mustExpand("gps-spoof", nil, []Sweep{sw}), Runs: 1,
+			spec := Spec{Points: Expand("gps-spoof", nil, []Sweep{sw}), Runs: 1,
 				Duration: time.Second, PrefixShare: share}
 			records, _, stats, err := Run(context.Background(), spec)
 			if err == nil || records != nil || stats.RunsFailed != 0 {
@@ -174,7 +174,7 @@ func TestParseSweep(t *testing.T) {
 }
 
 func TestExpandCartesian(t *testing.T) {
-	points := mustExpand("memdos",
+	points := Expand("memdos",
 		map[string]float64{"bus.capacity": 50e6},
 		[]Sweep{
 			{Key: "attack.rate", Values: []float64{1e9, 2e9}},
@@ -200,31 +200,22 @@ func TestExpandCartesian(t *testing.T) {
 		t.Fatalf("labels not distinct: %v", labels)
 	}
 	// No sweeps → single point, base params preserved, label = scenario.
-	single := mustExpand("kill", nil, nil)
+	single := Expand("kill", nil, nil)
 	if len(single) != 1 || single[0].Label != "kill" {
 		t.Fatalf("no-sweep expand = %+v", single)
 	}
 }
 
-// mustExpand is Expand for a test's known-good grid.
-func mustExpand(scenario string, base map[string]float64, sweeps []Sweep) []Point {
-	points, err := Expand(scenario, base, sweeps)
-	if err != nil {
-		panic(err)
-	}
-	return points
-}
-
 // TestSize pins the one sizing gate: points × values × runs, refused
-// for an empty sweep, a non-positive count or a size above MaxRuns, and
-// saturated rather than wrapped when refused for size.
+// for an empty sweep, a non-positive count or a grid above MaxPoints
+// or MaxRuns, and saturated rather than wrapped when refused for size.
 func TestSize(t *testing.T) {
 	two := Sweep{Key: "wind", Values: []float64{0, 1}}
 	if n, err := Size(3, []Sweep{two, two}, 5); n != 60 || err != nil {
 		t.Fatalf("3 points × 2 × 2 × 5 runs: %d, %v", n, err)
 	}
-	if n, err := Size(1, nil, MaxRuns); n != MaxRuns || err != nil {
-		t.Fatalf("a campaign at the ceiling: %d, %v", n, err)
+	if n, err := Size(MaxPoints, nil, MaxRuns/MaxPoints); n != MaxRuns || err != nil {
+		t.Fatalf("a campaign at both ceilings: %d, %v", n, err)
 	}
 	var wide []Sweep
 	for range 64 {
@@ -238,7 +229,9 @@ func TestSize(t *testing.T) {
 		want   string
 		size   int
 	}{
-		{"one past the ceiling", 1, nil, MaxRuns + 1, "ceiling", MaxRuns + 1},
+		{"one run past the ceiling", 1, nil, MaxRuns + 1, "runs exceeds", MaxRuns + 1},
+		{"one point past the ceiling", MaxPoints + 1, nil, 1, "points exceeds", MaxPoints + 1},
+		{"2^17 points of one run", 1, wide[:17], 1, "points exceeds", 1 << 17},
 		{"2^64 points", 1, wide, 1, "ceiling", math.MaxInt},
 		{"4 points × 2^62 runs", 4, nil, 1 << 62, "ceiling", math.MaxInt},
 		{"empty sweep", 1, []Sweep{two, {Key: "attack.rate"}}, 1, "attack.rate", 0},
@@ -250,10 +243,10 @@ func TestSize(t *testing.T) {
 			t.Errorf("%s: size %d, err %v; want %d and an error mentioning %q", tc.name, n, err, tc.size, tc.want)
 		}
 	}
-	// Expand applies the gate before it builds a single point: a 2^30
-	// point grid would take gigabytes.
-	if points, err := Expand("baseline", nil, wide[:30]); err == nil || points != nil {
-		t.Fatalf("2^30-point grid: %d points, err %v; want an up-front error", len(points), err)
+	// Validate sizes before it builds a cell: these points name no
+	// scenario, so any cell check would fail with another error.
+	if err := Validate(Spec{Points: make([]Point, MaxPoints+1), Runs: 1}); err == nil || !strings.Contains(err.Error(), "ceiling") {
+		t.Fatalf("oversized spec: %v; want the ceiling error", err)
 	}
 }
 

@@ -77,11 +77,12 @@ type forkPlan struct {
 	leaderOf []int
 }
 
-// planPrefixGroups runs the per-cell check on every point and groups
-// the campaign grid. Without PrefixShare every point leads its
-// own unforked group, reproducing the classic per-point campaign
-// exactly (including its seed derivation). With it, two points share a
-// group when they build the same scenario into Configs whose pre-onset
+// planPrefixGroups is Run's gate and planner: it sizes the spec, runs
+// the per-cell check on every point and groups the campaign grid.
+// Without PrefixShare every point leads its own unforked group,
+// reproducing the classic per-point campaign exactly (including its
+// seed derivation). With it, two points share a group when they build
+// the same scenario into Configs whose pre-onset
 // behavior is provably identical: everything except the attack plan,
 // the post-onset action of the fault plan, and the monitor's
 // thresholds (rules and envelope) must agree. Those exempt knobs only
@@ -101,6 +102,9 @@ type forkPlan struct {
 // The group's forkTick is the earliest onset one-shot tick across its
 // members — every member behaves identically on [0, forkTick).
 func planPrefixGroups(spec Spec) (*forkPlan, error) {
+	if _, err := Size(len(spec.Points), nil, spec.Runs); err != nil {
+		return nil, err
+	}
 	plan := &forkPlan{leaderOf: make([]int, len(spec.Points))}
 	type groupKey struct {
 		scenario    string

@@ -19,7 +19,7 @@ import (
 // inside the flight.
 func forkSpec(scenario string, runs int) Spec {
 	return Spec{
-		Points: mustExpand(scenario, nil, []Sweep{
+		Points: Expand(scenario, nil, []Sweep{
 			{Key: "monitor.max-interval", Values: []float64{0.1, 0.15}},
 		}),
 		Runs:        runs,
@@ -67,7 +67,7 @@ func TestForkEquivalence(t *testing.T) {
 		cases = append(cases, equivCase{sc.Name, spec, groups, fork})
 	}
 	fallback := forkSpec("gps-spoof", runs)
-	fallback.Points = mustExpand("gps-spoof", nil, []Sweep{
+	fallback.Points = Expand("gps-spoof", nil, []Sweep{
 		{Key: "monitor.max-interval", Values: []float64{0.001, 0.002, 0.003}},
 	})
 	cases = append(cases, equivCase{"gps-spoof-fallback", fallback, 1, false})
@@ -192,7 +192,7 @@ func TestForkStreamIndexOrder(t *testing.T) {
 func TestPlanPrefixGroups(t *testing.T) {
 	t.Run("post-onset sweep groups", func(t *testing.T) {
 		spec := Spec{
-			Points: mustExpand("memdos", nil, []Sweep{
+			Points: Expand("memdos", nil, []Sweep{
 				{Key: "attack.rate", Values: []float64{1e9, 2e9, 4e9}},
 			}),
 			Runs: 1, Duration: 12 * time.Second, PrefixShare: true,
@@ -222,7 +222,7 @@ func TestPlanPrefixGroups(t *testing.T) {
 
 	t.Run("onset sweep groups at earliest onset", func(t *testing.T) {
 		spec := Spec{
-			Points: mustExpand("memdos", nil, []Sweep{
+			Points: Expand("memdos", nil, []Sweep{
 				{Key: "attack.start", Values: []float64{5, 9}},
 			}),
 			Runs: 1, Duration: 12 * time.Second, PrefixShare: true,
@@ -242,7 +242,7 @@ func TestPlanPrefixGroups(t *testing.T) {
 
 	t.Run("pre-onset sweep stays singleton", func(t *testing.T) {
 		spec := Spec{
-			Points: mustExpand("baseline", nil, []Sweep{
+			Points: Expand("baseline", nil, []Sweep{
 				{Key: "wind", Values: []float64{0, 1}},
 			}),
 			Runs: 1, Duration: 12 * time.Second, PrefixShare: true,
@@ -263,7 +263,7 @@ func TestPlanPrefixGroups(t *testing.T) {
 
 	t.Run("no onset never qualifies", func(t *testing.T) {
 		spec := Spec{
-			Points: mustExpand("mission", nil, []Sweep{
+			Points: Expand("mission", nil, []Sweep{
 				{Key: "monitor.max-interval", Values: []float64{0.1, 0.15}},
 			}),
 			Runs: 1, Duration: 12 * time.Second, PrefixShare: true,
@@ -285,7 +285,7 @@ func TestPlanPrefixGroups(t *testing.T) {
 		// behavior, so sweeping it must NOT group; sweeping a monitor
 		// threshold on the same scenario must.
 		split := Spec{
-			Points: mustExpand("mav-replay", nil, []Sweep{
+			Points: Expand("mav-replay", nil, []Sweep{
 				{Key: "fault.magnitude", Values: []float64{16, 32}},
 			}),
 			Runs: 1, Duration: 16 * time.Second, PrefixShare: true,

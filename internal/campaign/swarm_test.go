@@ -15,10 +15,10 @@ import (
 // the Reset path misses, or any cross-member aliasing in the pooled
 // Results, shows up here as a parallel- or mode-dependent diff.
 func TestSwarmWarmParallelEquivalence(t *testing.T) {
-	points := mustExpand("swarm-peer-flood", nil, []Sweep{
+	points := Expand("swarm-peer-flood", nil, []Sweep{
 		{Key: "attack.rate", Values: []float64{10000, 20000}},
 	})
-	points = append(points, mustExpand("swarm-cross-replay", nil, nil)...)
+	points = append(points, Expand("swarm-cross-replay", nil, nil)...)
 	spec := Spec{
 		Points:   points,
 		Runs:     2,

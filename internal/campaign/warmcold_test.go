@@ -31,9 +31,9 @@ func equivRuns(t *testing.T, def int) int {
 // comparison exercises point switching, fault plans, and failovers.
 func warmColdSpec(t *testing.T) Spec {
 	runs := equivRuns(t, 4)
-	points := mustExpand("gps-spoof", nil, []Sweep{{Key: "fault.rate", Values: []float64{0.5, 2}}})
-	points = append(points, mustExpand("netsplit", nil, nil)...)
-	points = append(points, mustExpand("udpflood", nil, nil)...)
+	points := Expand("gps-spoof", nil, []Sweep{{Key: "fault.rate", Values: []float64{0.5, 2}}})
+	points = append(points, Expand("netsplit", nil, nil)...)
+	points = append(points, Expand("udpflood", nil, nil)...)
 	return Spec{
 		Points:   points,
 		Runs:     runs,

@@ -152,6 +152,15 @@ func removeTask(s []*Task, t *Task) []*Task {
 // Tasks returns the registered tasks (shared slice; do not mutate).
 func (c *CPU) Tasks() []*Task { return c.tasks }
 
+// AttachMemory wires the shared bus and regulator after construction.
+func (c *CPU) AttachMemory(bus *membw.Bus, guard *memguard.Guard) {
+	if bus != nil && bus.Cores() != c.cores {
+		panic("sched: bus core count mismatch")
+	}
+	c.bus = bus
+	c.guard = guard
+}
+
 // IdleRate returns the fraction of observed ticks a core spent idle —
 // the "CPU idle rate" measurement of the paper's Table II.
 func (c *CPU) IdleRate(core int) float64 {

@@ -352,8 +352,8 @@ func TestCampaignCancel(t *testing.T) {
 	}
 }
 
-// TestCampaignRejectsOverflowingGrid checks that a grid above the
-// engine's run ceiling is refused before anything is sized by it: 64
+// TestCampaignRejectsOverflowingGrid checks that a grid above either
+// engine ceiling is refused before anything is sized by it: 64
 // two-value sweeps are 2^64 points, which overflow int; 30 are 2^30
 // points, which Expand would build into gigabytes; and one point of
 // 2^40 runs would size a 202 TB record slice.
@@ -368,6 +368,9 @@ func TestCampaignRejectsOverflowingGrid(t *testing.T) {
 	for name, opts := range map[string][]containerdrone.CampaignOption{
 		"64 two-value sweeps": sweeps(64),
 		"30 two-value sweeps": sweeps(30),
+		// 2^20 points is within the run ceiling but takes gigabytes to
+		// expand; the point ceiling refuses it.
+		"20 two-value sweeps": sweeps(20),
 		"2^40 runs":           {containerdrone.WithRuns(1 << 40)},
 	} {
 		c := containerdrone.NewCampaign("baseline", opts...)

@@ -12,8 +12,10 @@
 //
 //   - Cheap checks first: submit decodes strictly, checks the fields,
 //     then the run cap (Config.MaxRunsPerJob, campaignd -max-runs, which
-//     can only lower the engine's hard ceiling of 1,048,576 runs), and
-//     only then builds and validates every grid cell's configuration.
+//     can only lower the engine's hard ceilings of 65,536 grid points
+//     and 1,048,576 runs), then the tenant's quota, and only then
+//     builds and validates every grid cell's configuration. A bad cell
+//     gets 400 but spends the tenant's token.
 //   - Per-tenant token-bucket quotas (rate + burst) and max-in-flight
 //     caps. A tenant over quota gets 429 with a Retry-After hint; one
 //     tenant's burst cannot starve another's steady trickle.

@@ -55,13 +55,21 @@ type CampaignRequest struct {
 }
 
 // Validate checks everything that can be checked without running: the
-// request's fields, its size against the engine's ceiling, then every
+// request's fields, its size against the engine's ceilings, then every
 // grid cell, so a typo in any cell fails with 400, not as a job.
-func (r *CampaignRequest) Validate() error { return r.admit(campaign.MaxRuns) }
+func (r *CampaignRequest) Validate() error {
+	err := r.checkSize(campaign.MaxRuns)
+	if err == nil {
+		err = r.campaign().Validate()
+	}
+	return err
+}
 
-// admit is Validate with a run cap, checked before any cell so that a
-// short request cannot buy a million cell checks before it is refused.
-func (r *CampaignRequest) admit(maxRuns int) error {
+// checkSize is Validate's first, cheap step with a run cap: the
+// request's fields and its size, with no cell built. Submit runs it
+// before the tenant's quota and the cell checks after, so a short
+// request cannot buy a million cell checks before it is refused.
+func (r *CampaignRequest) checkSize(maxRuns int) error {
 	switch {
 	case r.SchemaVersion != SchemaVersion:
 		return fmt.Errorf("%w: request schema v%d, this server speaks v%d", ErrSchemaVersion, r.SchemaVersion, SchemaVersion)
@@ -76,10 +84,7 @@ func (r *CampaignRequest) admit(maxRuns int) error {
 	if err == nil && total > maxRuns {
 		err = fmt.Errorf("request asks for %d runs; this server caps jobs at %d", total, maxRuns)
 	}
-	if err != nil {
-		return err
-	}
-	return r.campaign().Validate()
+	return err
 }
 
 // TotalRuns returns points × runs-per-point as the engine sizes it,

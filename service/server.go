@@ -272,7 +272,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req CampaignRequest
 	err := decodeStrict(r.Body, &req)
 	if err == nil {
-		err = req.admit(s.cfg.MaxRunsPerJob)
+		err = req.checkSize(s.cfg.MaxRunsPerJob)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
@@ -283,6 +283,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.rejectedQuota.Add(1)
 		writeError(w, http.StatusTooManyRequests, reason,
 			fmt.Sprintf("tenant %q over %s limit", tenant, reason), retry)
+		return
+	}
+	// Cells are checked only past the quota, so a tenant over its limit
+	// cannot make the server build them; a bad cell spends the token.
+	if err := req.campaign().Validate(); err != nil {
+		s.quotas.release(tenant)
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
 

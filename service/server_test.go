@@ -193,6 +193,39 @@ func TestQuotaRejection(t *testing.T) {
 	}
 }
 
+// TestQuotaBeforeCellChecks pins the submit order around the quota: a
+// request with a bad cell spends its tenant's token and is not
+// accepted, and a tenant over quota gets 429 before any cell is built,
+// even for a grid whose every cell is invalid.
+func TestQuotaBeforeCellChecks(t *testing.T) {
+	frozen := time.Now()
+	_, cl := newTestServer(t, Config{
+		Workers: 1, QuotaRate: 1, QuotaBurst: 1,
+		now: func() time.Time { return frozen }, // bucket never refills
+	})
+	cl.Tenant = "sloppy"
+	badCell := CampaignRequest{Scenario: "gps-spoof",
+		Sweeps: []containerdrone.Sweep{{Key: "bus.capacity", Values: []float64{2e9, 0}}}}
+	_, err := cl.Submit(t.Context(), badCell)
+	if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad cell within quota: want 400, got %v", err)
+	}
+	allBad := CampaignRequest{Scenario: "gps-spoof",
+		Sweeps: []containerdrone.Sweep{{Key: "bus.capacity", Values: make([]float64, 4096)}}}
+	_, err = cl.Submit(t.Context(), allBad)
+	if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != http.StatusTooManyRequests || apiErr.Reason != "quota" {
+		t.Fatalf("4,096 bad cells over quota: want 429 quota, got %v", err)
+	}
+	m, err := cl.Metrics(t.Context())
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	// The tenant ledger counts quota admissions, like a queue_full one.
+	if m.Accepted != 0 || len(m.Tenants) != 1 || m.Tenants[0] != (TenantMetrics{Tenant: "sloppy", Accepted: 1, RejectedQuota: 1}) {
+		t.Fatalf("accepted %d, per-tenant ledger %+v; want one quota admission, one quota rejection, no job", m.Accepted, m.Tenants)
+	}
+}
+
 // TestInFlightCapRejection pins the second quota edge: a tenant at
 // its max-in-flight cap is rejected until a job settles.
 func TestInFlightCapRejection(t *testing.T) {
