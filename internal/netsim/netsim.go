@@ -277,9 +277,6 @@ func (n *Network) putBuf(b []byte) {
 	n.free = append(n.free, b)
 }
 
-// PooledBuffers reports the free-list population (tests, telemetry).
-func (n *Network) PooledBuffers() int { return len(n.free) }
-
 // SetLink configures latency/jitter/loss for all traffic.
 func (n *Network) SetLink(p LinkParams) { n.link = p }
 

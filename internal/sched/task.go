@@ -87,10 +87,6 @@ func (s TaskStats) MissRate() float64 {
 // Stats returns a copy of the task's counters.
 func (t *Task) Stats() TaskStats { return t.stats }
 
-// ResetStats clears the task's counters (used between experiment
-// phases to measure attack windows in isolation).
-func (t *Task) ResetStats() { t.stats = TaskStats{} }
-
 // Busy reports whether this is a busy-loop task.
 func (t *Task) Busy() bool { return t.Period <= 0 }
 
