@@ -23,11 +23,7 @@ type Mission struct {
 	// SlewRate limits setpoint motion in m/s (0 = jump immediately).
 	SlewRate float64
 
-	idx       int
-	holdUntil time.Duration
-	holding   bool
-	current   Setpoint
-	primed    bool
+	st MissionState
 }
 
 // NewMission builds a mission with a 1.5 m/s setpoint slew.
@@ -36,10 +32,11 @@ func NewMission(wps ...Waypoint) *Mission {
 }
 
 // Done reports whether every waypoint has been visited and held.
-func (m *Mission) Done() bool { return m.idx >= len(m.Waypoints) }
+func (m *Mission) Done() bool { return m.st.idx >= len(m.Waypoints) }
 
-// MissionState is a snapshot of the mission's progress; the waypoint
-// list and slew rate are configuration and stay with their owner.
+// MissionState is the mission's progress, which a snapshot holds
+// whole; the waypoint list and slew rate are configuration and stay
+// with their owner.
 type MissionState struct {
 	idx       int
 	holdUntil time.Duration
@@ -49,23 +46,11 @@ type MissionState struct {
 }
 
 // SnapshotInto captures the mission's progress into st.
-func (m *Mission) SnapshotInto(st *MissionState) {
-	st.idx = m.idx
-	st.holdUntil = m.holdUntil
-	st.holding = m.holding
-	st.current = m.current
-	st.primed = m.primed
-}
+func (m *Mission) SnapshotInto(st *MissionState) { *st = m.st }
 
 // RestoreFrom rewinds the mission to a captured state, keeping its own
 // waypoint list.
-func (m *Mission) RestoreFrom(st *MissionState) {
-	m.idx = st.idx
-	m.holdUntil = st.holdUntil
-	m.holding = st.holding
-	m.current = st.current
-	m.primed = st.primed
-}
+func (m *Mission) RestoreFrom(st *MissionState) { m.st = *st }
 
 // Target returns the active waypoint, or false when the mission is
 // complete.
@@ -73,16 +58,16 @@ func (m *Mission) Target() (Waypoint, bool) {
 	if m.Done() {
 		return Waypoint{}, false
 	}
-	return m.Waypoints[m.idx], true
+	return m.Waypoints[m.st.idx], true
 }
 
 // Update advances the mission state machine with the vehicle's
 // position and returns the (slew-limited) setpoint to track. After
 // completion it keeps returning the final waypoint.
 func (m *Mission) Update(now time.Duration, pos physics.Vec3, dt float64) Setpoint {
-	if !m.primed {
-		m.current = Setpoint{Pos: pos}
-		m.primed = true
+	if !m.st.primed {
+		m.st.current = Setpoint{Pos: pos}
+		m.st.primed = true
 	}
 	var goal Setpoint
 	if m.Done() {
@@ -90,39 +75,39 @@ func (m *Mission) Update(now time.Duration, pos physics.Vec3, dt float64) Setpoi
 			last := m.Waypoints[n-1]
 			goal = Setpoint{Pos: last.Pos, Yaw: last.Yaw}
 		} else {
-			goal = m.current
+			goal = m.st.current
 		}
 	} else {
-		wp := m.Waypoints[m.idx]
+		wp := m.Waypoints[m.st.idx]
 		goal = Setpoint{Pos: wp.Pos, Yaw: wp.Yaw}
 		radius := wp.Radius
 		if radius <= 0 {
 			radius = 0.15
 		}
 		if pos.Sub(wp.Pos).Norm() <= radius {
-			if !m.holding {
-				m.holding = true
-				m.holdUntil = now + wp.Hold
+			if !m.st.holding {
+				m.st.holding = true
+				m.st.holdUntil = now + wp.Hold
 			}
-			if now >= m.holdUntil {
-				m.idx++
-				m.holding = false
+			if now >= m.st.holdUntil {
+				m.st.idx++
+				m.st.holding = false
 			}
 		} else {
-			m.holding = false
+			m.st.holding = false
 		}
 	}
 	// Slew-limit the emitted position setpoint toward the goal.
 	if m.SlewRate <= 0 || dt <= 0 {
-		m.current = goal
-		return m.current
+		m.st.current = goal
+		return m.st.current
 	}
-	delta := goal.Pos.Sub(m.current.Pos)
+	delta := goal.Pos.Sub(m.st.current.Pos)
 	maxStep := m.SlewRate * dt
 	if d := delta.Norm(); d > maxStep {
 		delta = delta.Scale(maxStep / d)
 	}
-	m.current.Pos = m.current.Pos.Add(delta)
-	m.current.Yaw = goal.Yaw
-	return m.current
+	m.st.current.Pos = m.st.current.Pos.Add(delta)
+	m.st.current.Yaw = goal.Yaw
+	return m.st.current
 }

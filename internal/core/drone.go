@@ -57,31 +57,17 @@ type Drone struct {
 	hostEst *estimate.Filter
 	cceEst  *estimate.Filter
 
-	// Mission state (leader only; nil when flying a static setpoint).
-	mission     *control.Mission
-	curSetpoint physics.Vec3 // what the complex controller is tracking
-	holdSP      physics.Vec3 // the safety controller's hold target
+	// Mission (leader only; nil when flying a static setpoint).
+	mission *control.Mission
 
-	// Fleet state: the formation offset from the leader's setpoint,
-	// the member's spawn/hover position, and — for followers — the
-	// last formation target received from the GCS.
+	// Fleet wiring: the formation offset from the leader's setpoint
+	// and the member's spawn/hover position.
 	offset  physics.Vec3
 	initPos physics.Vec3
-	fleetSP physics.Vec3
 	fleetEP *netsim.Endpoint // follower downlink (nil on the leader)
 	upRoute *netsim.Route    // host → GCS uplink (swarm only)
 
-	// host-side sensor caches written by the driver tasks
-	lastIMU  sensors.IMUReading
-	lastGPS  sensors.GPSReading
-	lastBaro sensors.BaroReading
-	lastRC   sensors.RCReading
-
-	// actuator command paths
-	complexCmd   [4]float64
-	complexCmdAt time.Duration
-	safetyCmd    [4]float64
-	hostCmd      [4]float64
+	droneState
 
 	hceMotorEP  *netsim.Endpoint
 	cceSensorEP *netsim.Endpoint
@@ -97,22 +83,10 @@ type Drone struct {
 	replayFrames [][]byte
 	replayMax    int
 
-	// Shared-surface fault accounting, so same-kind fault windows can
-	// overlap without one injector's End healing a surface another
-	// injector still degrades (see fault.go).
-	splitDepth      int
-	baroDropDepth   int
-	gyroBiasDepth   int
-	gpsSpoofDepth   int
-	fleetSplitDepth int
-
 	streams map[string]*StreamStat
 	// Per-stream stat pointers, resolved once at wiring time so the
 	// per-frame hot paths never hash the streams map.
 	imuStream, baroStream, gpsStream, rcStream, motorStream *StreamStat
-
-	seqOut  uint32
-	garbage int64 // undecodable packets seen by the receiver
 
 	// Steady-state encode scratch. Only the engine goroutine encodes
 	// (an airframe helper touches nothing but the airframes) and
@@ -125,10 +99,7 @@ type Drone struct {
 	// hostIn is the host-side controller-input scratch; see hostInputs.
 	hostIn control.Inputs
 
-	// CCE controller per-run state and scratch (fields rather than
-	// closure locals so a restore can rewind them).
-	cceIn           control.Inputs
-	cceSeq          uint32
+	// CCE controller scratch.
 	cceMotorPayload []byte
 	cceMotorFrame   []byte
 
@@ -139,6 +110,45 @@ type Drone struct {
 	// Trace component names: bare ("monitor") for a single-drone
 	// System, member-tagged ("monitor#1") in a swarm.
 	compMonitor, compFault, compAttack, compPhysics string
+}
+
+// droneState is a member's per-run state that lives on the Drone
+// itself rather than in a subsystem. A Snapshot holds it whole, so a
+// field added here is captured and restored with no further code.
+type droneState struct {
+	curSetpoint physics.Vec3 // what the complex controller is tracking
+	holdSP      physics.Vec3 // the safety controller's hold target
+	fleetSP     physics.Vec3 // a follower's last formation target from the GCS
+
+	// host-side sensor caches written by the driver tasks
+	lastIMU  sensors.IMUReading
+	lastGPS  sensors.GPSReading
+	lastBaro sensors.BaroReading
+	lastRC   sensors.RCReading
+
+	// actuator command paths
+	complexCmd   [4]float64
+	complexCmdAt time.Duration
+	safetyCmd    [4]float64
+	hostCmd      [4]float64
+
+	// CCE controller state (fields rather than closure locals so a
+	// restore can rewind them).
+	cceIn  control.Inputs
+	cceSeq uint32
+
+	seqOut  uint32
+	garbage int64 // undecodable packets seen by the receiver
+
+	// Shared-surface fault accounting, so same-kind fault windows can
+	// overlap without one injector's End healing a surface another
+	// injector still degrades (see fault.go). Snapshotable refuses a
+	// capture while any window is open, so a restore zeroes them.
+	splitDepth      int
+	baroDropDepth   int
+	gyroBiasDepth   int
+	gpsSpoofDepth   int
+	fleetSplitDepth int
 }
 
 // Index returns this member's position in the fleet (0 = leader).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"containerdrone/internal/control"
 	"containerdrone/internal/estimate"
@@ -19,8 +18,8 @@ import (
 
 // memberSnap is one fleet member's share of a Snapshot: the member's
 // computer (scheduler, memory system, NAT), vehicle, sensors,
-// estimators, controllers, mission, monitor, flight log, and per-run
-// caches.
+// estimators, controllers, mission, monitor, flight log, and the
+// Drone's own per-run state.
 type memberSnap struct {
 	cpu   sched.CPUState
 	bus   membw.BusState
@@ -41,24 +40,7 @@ type memberSnap struct {
 	mon         monitor.State
 	log         telemetry.LogState
 
-	curSetpoint physics.Vec3
-	holdSP      physics.Vec3
-	fleetSP     physics.Vec3
-
-	lastIMU  sensors.IMUReading
-	lastGPS  sensors.GPSReading
-	lastBaro sensors.BaroReading
-	lastRC   sensors.RCReading
-
-	complexCmd   [4]float64
-	complexCmdAt time.Duration
-	safetyCmd    [4]float64
-	hostCmd      [4]float64
-
-	cceIn   control.Inputs
-	cceSeq  uint32
-	seqOut  uint32
-	garbage int64
+	drone droneState
 
 	replayFrames [][]byte
 
@@ -79,6 +61,13 @@ type memberSnap struct {
 // vehicle, both estimators, both controllers, the mission, the
 // monitor, the flight log, the memory system, and all RNG stream
 // states.
+//
+// Rewind rule: per-run state lives in its subsystem's state struct
+// (droneState, monitor.State, sched's taskState, ...), which the owner
+// holds and a Snapshot copies whole, deep-copying only its slices.
+// Anything outside it is rebuilt by RestoreFrom or listed in the rewind
+// tests' rewindAllowed; TestRewindFieldCoverage fails on any other
+// field a restore leaves different from a cold build.
 //
 // Ownership contract: a Snapshot shares no memory with the System it
 // was taken from or any System it is restored onto. The source may
@@ -196,21 +185,7 @@ func (d *Drone) snapshotInto(ms *memberSnap) {
 	d.Monitor.SnapshotInto(&ms.mon)
 	d.Log.SnapshotInto(&ms.log)
 
-	ms.curSetpoint = d.curSetpoint
-	ms.holdSP = d.holdSP
-	ms.fleetSP = d.fleetSP
-	ms.lastIMU = d.lastIMU
-	ms.lastGPS = d.lastGPS
-	ms.lastBaro = d.lastBaro
-	ms.lastRC = d.lastRC
-	ms.complexCmd = d.complexCmd
-	ms.complexCmdAt = d.complexCmdAt
-	ms.safetyCmd = d.safetyCmd
-	ms.hostCmd = d.hostCmd
-	ms.cceIn = d.cceIn
-	ms.cceSeq = d.cceSeq
-	ms.seqOut = d.seqOut
-	ms.garbage = d.garbage
+	ms.drone = d.droneState
 
 	ms.replayFrames = ms.replayFrames[:0]
 	for _, f := range d.replayFrames {
@@ -332,26 +307,10 @@ func (d *Drone) restoreFrom(ms *memberSnap) {
 	d.Monitor.RestoreFrom(&ms.mon)
 	d.Log.RestoreFrom(&ms.log)
 
-	d.curSetpoint = ms.curSetpoint
-	d.holdSP = ms.holdSP
-	d.fleetSP = ms.fleetSP
-	d.lastIMU = ms.lastIMU
-	d.lastGPS = ms.lastGPS
-	d.lastBaro = ms.lastBaro
-	d.lastRC = ms.lastRC
-	d.complexCmd = ms.complexCmd
-	d.complexCmdAt = ms.complexCmdAt
-	d.safetyCmd = ms.safetyCmd
-	d.hostCmd = ms.hostCmd
-	d.cceIn = ms.cceIn
-	d.cceSeq = ms.cceSeq
-	d.seqOut = ms.seqOut
-	d.garbage = ms.garbage
+	d.droneState = ms.drone
 
-	// Snapshotable guarantees no flood was live and no fault window
-	// open at capture.
+	// Snapshotable guarantees no flood was live at capture.
 	d.flood = nil
-	d.splitDepth, d.baroDropDepth, d.gyroBiasDepth, d.gpsSpoofDepth, d.fleetSplitDepth = 0, 0, 0, 0, 0
 
 	clear(d.replayFrames)
 	d.replayFrames = d.replayFrames[:0]

@@ -51,8 +51,8 @@ type envelopeState struct {
 // zero value removes them.
 func (m *Monitor) SetEnvelope(r EnvelopeRules) {
 	m.envelope = r
-	m.geoState = envelopeState{}
-	m.desState = envelopeState{}
+	m.st.geoState = envelopeState{}
+	m.st.desState = envelopeState{}
 }
 
 // Envelope returns the configured extended rules.
@@ -62,17 +62,17 @@ func (m *Monitor) Envelope() EnvelopeRules { return m.envelope }
 // from the reference position (m); vz the vertical speed (m/s, up
 // positive). Call alongside Check from the monitor task.
 func (m *Monitor) CheckEnvelope(now time.Duration, posErr, vz float64) {
-	if !m.armed || m.output == OutputSafety {
+	if !m.st.armed || m.st.output == OutputSafety {
 		return
 	}
 	if m.envelope.GeofenceRadius > 0 {
-		if m.persist(&m.geoState, now, posErr > m.envelope.GeofenceRadius) {
+		if m.persist(&m.st.geoState, now, posErr > m.envelope.GeofenceRadius) {
 			m.trip(now, RuleGeofence, fmt.Sprintf("position error %.2fm", posErr))
 			return
 		}
 	}
 	if m.envelope.MaxDescentRate > 0 {
-		if m.persist(&m.desState, now, -vz > m.envelope.MaxDescentRate) {
+		if m.persist(&m.st.desState, now, -vz > m.envelope.MaxDescentRate) {
 			m.trip(now, RuleDescent, fmt.Sprintf("descending at %.2fm/s", -vz))
 		}
 	}

@@ -83,22 +83,11 @@ type Violation struct {
 
 // Monitor is the Simplex decision module.
 type Monitor struct {
-	rules  Rules
-	output Output
-	armed  bool
-
-	lastRecv     time.Duration
-	haveRecv     bool
-	attBadSince  time.Duration
-	attBad       bool
-	violations   []Violation
-	switchedAt   time.Duration
-	switchReason Rule
+	rules Rules
+	st    State
 
 	// Extended envelope rules (see envelope.go); zero = disabled.
 	envelope EnvelopeRules
-	geoState envelopeState
-	desState envelopeState
 
 	// OnSwitch runs exactly once when the monitor fails over; the
 	// framework uses it to kill the receiving thread (§III-E).
@@ -120,12 +109,13 @@ func New(rules Rules) *Monitor {
 // Rules returns the configured thresholds.
 func (m *Monitor) Rules() Rules { return m.rules }
 
-// State is a snapshot of the monitor's dynamic state: output
-// selection, arming, receive timing, rule persistence, and the
-// violation history (deep-copied). Thresholds, envelope rules, and
-// callbacks are configuration — they stay with their owner, which is
-// exactly what lets a fork sweep monitor thresholds: the restored
-// monitor re-judges the post-snapshot flight with its own rules.
+// State is the monitor's per-run state: output selection, arming,
+// receive timing, rule persistence, and the violation history. A
+// snapshot holds one whole, its violations deep-copied. Thresholds,
+// envelope rules, and callbacks are configuration — they stay with
+// their owner, which is exactly what lets a fork sweep monitor
+// thresholds: the restored monitor re-judges the post-snapshot flight
+// with its own rules.
 type State struct {
 	output       Output
 	armed        bool
@@ -144,101 +134,85 @@ type State struct {
 // st's violation buffer. The state shares no memory with the monitor
 // afterwards.
 func (m *Monitor) SnapshotInto(st *State) {
-	st.output = m.output
-	st.armed = m.armed
-	st.lastRecv = m.lastRecv
-	st.haveRecv = m.haveRecv
-	st.attBadSince = m.attBadSince
-	st.attBad = m.attBad
-	st.violations = append(st.violations[:0], m.violations...)
-	st.switchedAt = m.switchedAt
-	st.switchReason = m.switchReason
-	st.geoState = m.geoState
-	st.desState = m.desState
+	violations := append(st.violations[:0], m.st.violations...)
+	*st = m.st
+	st.violations = violations
 }
 
 // RestoreFrom rewinds the monitor to a captured state, keeping its own
 // thresholds, envelope rules, and callbacks.
 func (m *Monitor) RestoreFrom(st *State) {
-	m.output = st.output
-	m.armed = st.armed
-	m.lastRecv = st.lastRecv
-	m.haveRecv = st.haveRecv
-	m.attBadSince = st.attBadSince
-	m.attBad = st.attBad
-	m.violations = append(m.violations[:0], st.violations...)
-	m.switchedAt = st.switchedAt
-	m.switchReason = st.switchReason
-	m.geoState = st.geoState
-	m.desState = st.desState
+	violations := append(m.st.violations[:0], st.violations...)
+	m.st = *st
+	m.st.violations = violations
 }
 
 // Arm starts rule enforcement at the given time; the receive timer
 // starts fresh so pre-arm silence does not trip the interval rule.
 func (m *Monitor) Arm(now time.Duration) {
-	m.armed = true
-	m.lastRecv = now
-	m.haveRecv = true
+	m.st.armed = true
+	m.st.lastRecv = now
+	m.st.haveRecv = true
 }
 
 // Armed reports whether rules are being enforced.
-func (m *Monitor) Armed() bool { return m.armed }
+func (m *Monitor) Armed() bool { return m.st.armed }
 
 // Output returns the currently selected controller.
-func (m *Monitor) Output() Output { return m.output }
+func (m *Monitor) Output() Output { return m.st.output }
 
 // Violations returns all recorded rule firings.
-func (m *Monitor) Violations() []Violation { return m.violations }
+func (m *Monitor) Violations() []Violation { return m.st.violations }
 
 // SwitchedAt returns when and why the monitor failed over; ok=false
 // if it has not.
 func (m *Monitor) SwitchedAt() (time.Duration, Rule, bool) {
-	if m.output != OutputSafety {
+	if m.st.output != OutputSafety {
 		return 0, "", false
 	}
-	return m.switchedAt, m.switchReason, true
+	return m.st.switchedAt, m.st.switchReason, true
 }
 
 // NoteComplexOutput records the arrival of a motor command from the
 // CCE. Call it from the HCE receiving thread.
 func (m *Monitor) NoteComplexOutput(now time.Duration) {
-	m.lastRecv = now
-	m.haveRecv = true
+	m.st.lastRecv = now
+	m.st.haveRecv = true
 }
 
 // Check evaluates both rules. attErr is the angular difference between
 // the reference attitude and the measured attitude (radians). Call it
 // periodically from the HCE monitor task.
 func (m *Monitor) Check(now time.Duration, attErr float64) {
-	if !m.armed || m.output == OutputSafety {
+	if !m.st.armed || m.st.output == OutputSafety {
 		return
 	}
-	if m.haveRecv && now-m.lastRecv > m.rules.MaxInterval {
-		m.trip(now, RuleInterval, fmt.Sprintf("no output for %v", now-m.lastRecv))
+	if m.st.haveRecv && now-m.st.lastRecv > m.rules.MaxInterval {
+		m.trip(now, RuleInterval, fmt.Sprintf("no output for %v", now-m.st.lastRecv))
 		return
 	}
 	if attErr > m.rules.MaxAttitudeError {
-		if !m.attBad {
-			m.attBad = true
-			m.attBadSince = now
+		if !m.st.attBad {
+			m.st.attBad = true
+			m.st.attBadSince = now
 		}
-		if now-m.attBadSince >= m.rules.AttitudeHold {
+		if now-m.st.attBadSince >= m.rules.AttitudeHold {
 			m.trip(now, RuleAttitude, fmt.Sprintf("attitude error %.1f°", attErr*180/math.Pi))
 		}
 	} else {
-		m.attBad = false
+		m.st.attBad = false
 	}
 }
 
 func (m *Monitor) trip(now time.Duration, rule Rule, info string) {
 	v := Violation{Rule: rule, Time: now, Info: info}
-	m.violations = append(m.violations, v)
+	m.st.violations = append(m.st.violations, v)
 	if m.OnViolation != nil {
 		m.OnViolation(v)
 	}
-	m.output = OutputSafety
-	m.switchedAt = now
-	m.switchReason = rule
+	m.st.output = OutputSafety
+	m.st.switchedAt = now
+	m.st.switchReason = rule
 	if m.OnSwitch != nil {
 		m.OnSwitch(now, rule)
 	}
@@ -246,7 +220,7 @@ func (m *Monitor) trip(now time.Duration, rule Rule, info string) {
 
 // ForceSwitch fails over unconditionally (operator action / tests).
 func (m *Monitor) ForceSwitch(now time.Duration, info string) {
-	if m.output == OutputSafety {
+	if m.st.output == OutputSafety {
 		return
 	}
 	m.trip(now, Rule("forced"), info)

@@ -15,8 +15,7 @@ type Wind struct {
 	Period float64
 
 	noise func() float64 // standard normal source
-	state Vec3           // filtered gust state
-	t     float64
+	st    WindState
 }
 
 // NewWind builds a wind model; norm must return standard normal
@@ -25,45 +24,40 @@ func NewWind(mean, gust, period float64, norm func() float64) *Wind {
 	return &Wind{MeanForce: mean, GustForce: gust, Period: period, noise: norm}
 }
 
-// WindState is a snapshot of the model's dynamic state; the noise
-// source stays with its owner (its RNG stream is captured separately).
+// WindState is the model's per-run state, which a snapshot holds
+// whole; the noise source stays with its owner (its RNG stream is
+// captured separately).
 type WindState struct {
-	state Vec3
+	state Vec3 // filtered gust state
 	t     float64
 }
 
 // SnapshotInto captures the model's dynamic state into st.
-func (w *Wind) SnapshotInto(st *WindState) {
-	st.state = w.state
-	st.t = w.t
-}
+func (w *Wind) SnapshotInto(st *WindState) { *st = w.st }
 
 // RestoreFrom rewinds the model to a captured state, keeping its own
 // noise source.
-func (w *Wind) RestoreFrom(st *WindState) {
-	w.state = st.state
-	w.t = st.t
-}
+func (w *Wind) RestoreFrom(st *WindState) { w.st = *st }
 
 // Step advances the model by dt seconds and returns the world-frame
 // force to apply to the airframe.
 func (w *Wind) Step(dt float64) Vec3 {
-	w.t += dt
+	w.st.t += dt
 	// First-order coloured noise per axis.
 	if w.Period > 0 && w.noise != nil {
 		alpha := dt / w.Period
 		if alpha > 1 {
 			alpha = 1
 		}
-		w.state.X += alpha * (w.GustForce*w.noise() - w.state.X)
-		w.state.Y += alpha * (w.GustForce*w.noise() - w.state.Y)
-		w.state.Z += alpha * (0.5*w.GustForce*w.noise() - w.state.Z)
+		w.st.state.X += alpha * (w.GustForce*w.noise() - w.st.state.X)
+		w.st.state.Y += alpha * (w.GustForce*w.noise() - w.st.state.Y)
+		w.st.state.Z += alpha * (0.5*w.GustForce*w.noise() - w.st.state.Z)
 	}
 	// Slowly rotating mean component.
-	angle := 2 * math.Pi * w.t / math.Max(w.Period*8, 1e-9)
+	angle := 2 * math.Pi * w.st.t / math.Max(w.Period*8, 1e-9)
 	mean := Vec3{
 		X: w.MeanForce * math.Cos(angle),
 		Y: w.MeanForce * math.Sin(angle),
 	}
-	return mean.Add(w.state)
+	return mean.Add(w.st.state)
 }

@@ -26,15 +26,6 @@ type CPUState struct {
 	tasks   []taskState
 }
 
-type taskState struct {
-	active      bool
-	remaining   time.Duration
-	releaseTime time.Duration
-	nextRelease time.Duration
-	stats       TaskStats
-	seq         int
-}
-
 // TaskSetAtCheckpoint reports whether the live task set still equals
 // the Checkpoint, positionally — the non-panicking form of the
 // SnapshotInto precondition.
@@ -67,14 +58,7 @@ func (c *CPU) SnapshotInto(st *CPUState) {
 	st.busyT = append(st.busyT[:0], c.busyT...)
 	st.tasks = st.tasks[:0]
 	for _, t := range c.tasks {
-		st.tasks = append(st.tasks, taskState{
-			active:      t.active,
-			remaining:   t.remaining,
-			releaseTime: t.releaseTime,
-			nextRelease: t.nextRelease,
-			stats:       t.stats,
-			seq:         t.seq,
-		})
+		st.tasks = append(st.tasks, t.taskState)
 	}
 }
 
@@ -104,13 +88,7 @@ func (c *CPU) RestoreFrom(st *CPUState) {
 	c.periodic = c.periodic[:0]
 	c.activeCount = 0
 	for i, t := range c.tasks {
-		ts := &st.tasks[i]
-		t.active = ts.active
-		t.remaining = ts.remaining
-		t.releaseTime = ts.releaseTime
-		t.nextRelease = ts.nextRelease
-		t.stats = ts.stats
-		t.seq = ts.seq
+		t.taskState = st.tasks[i]
 		if t.active {
 			c.activeCount++
 		}

@@ -49,7 +49,12 @@ type Task struct {
 	// Work runs (at most once per job) when the job completes.
 	Work func(now time.Duration)
 
-	// internal scheduling state
+	taskState
+}
+
+// taskState is a task's per-run scheduling state, captured and
+// restored whole by CPU.SnapshotInto and CPU.RestoreFrom.
+type taskState struct {
 	active      bool
 	remaining   time.Duration
 	releaseTime time.Duration

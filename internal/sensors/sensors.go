@@ -129,9 +129,7 @@ type Suite struct {
 	Noise Noise
 	norm  NormSource
 
-	faults   Faults
-	lastBaro BaroReading
-	haveBaro bool
+	st SuiteState
 }
 
 // NewSuite builds a sensor suite; norm may be nil for a noise-free
@@ -146,15 +144,15 @@ func NewSuite(noise Noise, norm NormSource) *Suite {
 // SetFaults replaces the live fault state; the zero value heals the
 // suite. Called by fault injectors at window boundaries and, for
 // time-varying faults (GPS spoof drift), from their Step cadence.
-func (s *Suite) SetFaults(f Faults) { s.faults = f }
+func (s *Suite) SetFaults(f Faults) { s.st.faults = f }
 
 // Faults returns the current fault state.
-func (s *Suite) Faults() Faults { return s.faults }
+func (s *Suite) Faults() Faults { return s.st.faults }
 
-// SuiteState is a snapshot of the suite's dynamic state: the live
-// fault injection and the barometer history. The noise model and
-// noise source stay with their owners (the RNG stream is captured
-// separately).
+// SuiteState is the suite's per-run state, which a snapshot holds
+// whole: the live fault injection and the barometer history. The
+// noise model and noise source stay with their owners (the RNG stream
+// is captured separately).
 type SuiteState struct {
 	faults   Faults
 	lastBaro BaroReading
@@ -162,19 +160,11 @@ type SuiteState struct {
 }
 
 // SnapshotInto captures the suite's dynamic state into st.
-func (s *Suite) SnapshotInto(st *SuiteState) {
-	st.faults = s.faults
-	st.lastBaro = s.lastBaro
-	st.haveBaro = s.haveBaro
-}
+func (s *Suite) SnapshotInto(st *SuiteState) { *st = s.st }
 
 // RestoreFrom rewinds the suite to a captured state, keeping its own
 // noise source.
-func (s *Suite) RestoreFrom(st *SuiteState) {
-	s.faults = st.faults
-	s.lastBaro = st.lastBaro
-	s.haveBaro = st.haveBaro
-}
+func (s *Suite) RestoreFrom(st *SuiteState) { s.st = *st }
 
 func (s *Suite) n(sigma float64) float64 {
 	if sigma == 0 {
@@ -187,7 +177,7 @@ func (s *Suite) n(sigma float64) float64 {
 // airframe's gravitational acceleration, m/s² positive down.
 func (s *Suite) SampleIMU(st physics.State, gravity float64, timeUS uint64) IMUReading {
 	gyro := st.Omega.Add(s.Noise.GyroBias)
-	gyro = gyro.Add(s.faults.GyroBias)
+	gyro = gyro.Add(s.st.faults.GyroBias)
 	gyro = gyro.Add(physics.Vec3{X: s.n(s.Noise.GyroSigma), Y: s.n(s.Noise.GyroSigma), Z: s.n(s.Noise.GyroSigma)})
 	// Specific force in body frame: attitude⁻¹ · (a - g), with the quad
 	// near equilibrium this is ≈ -g rotated into body.
@@ -200,20 +190,20 @@ func (s *Suite) SampleIMU(st physics.State, gravity float64, timeUS uint64) IMUR
 // SampleBaro reads barometric altitude using the standard-atmosphere
 // pressure lapse near sea level.
 func (s *Suite) SampleBaro(st physics.State, timeUS uint64) BaroReading {
-	if s.faults.BaroFrozen && s.haveBaro {
-		return s.lastBaro // wedged driver: stale reading, stale timestamp
+	if s.st.faults.BaroFrozen && s.st.haveBaro {
+		return s.st.lastBaro // wedged driver: stale reading, stale timestamp
 	}
 	alt := st.Pos.Z + s.n(s.Noise.BaroSigma)
 	const p0 = 101325.0 // Pa
 	pressure := p0 * (1 - 2.25577e-5*alt)
 	r := BaroReading{TimeUS: timeUS, Pressure: pressure, AltM: alt, TempC: 22.0}
-	s.lastBaro, s.haveBaro = r, true
+	s.st.lastBaro, s.st.haveBaro = r, true
 	return r
 }
 
 // SampleGPS reads the Vicon/GPS position fix.
 func (s *Suite) SampleGPS(st physics.State, timeUS uint64) GPSReading {
-	pos := st.Pos.Add(s.faults.GPSOffset)
+	pos := st.Pos.Add(s.st.faults.GPSOffset)
 	pos = pos.Add(physics.Vec3{X: s.n(s.Noise.PosSigma), Y: s.n(s.Noise.PosSigma), Z: s.n(s.Noise.PosSigma)})
 	vel := st.Vel.Add(physics.Vec3{X: s.n(s.Noise.VelSigma), Y: s.n(s.Noise.VelSigma), Z: s.n(s.Noise.VelSigma)})
 	return GPSReading{TimeUS: timeUS, Pos: pos, Vel: vel, NumSats: 12, FixOK: true}

@@ -352,17 +352,10 @@ func (e *Engine) StateInto(st *EngineState) {
 	if !e.chkValid {
 		panic("sim: StateInto without Checkpoint")
 	}
-	tick := e.clock.Ticks()
-	pending := 0
-	for _, os := range e.chkOneShots {
-		if os.tick >= tick {
-			pending++
-		}
-	}
-	if pending != len(e.oneShots) {
+	if !e.ScheduleAtCheckpoint() {
 		panic("sim: StateInto with dynamically scheduled one-shots pending; snapshots must be taken before any run-time After/At")
 	}
-	st.tick = tick
+	st.tick = e.clock.Ticks()
 	st.enabled = st.enabled[:0]
 	for _, ent := range e.procs {
 		st.enabled = append(st.enabled, ent.enabled)

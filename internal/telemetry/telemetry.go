@@ -27,9 +27,7 @@ type Sample struct {
 
 // FlightLog is an append-only trajectory recording.
 type FlightLog struct {
-	samples []Sample
-	crashed bool
-	crashAt time.Duration
+	st LogState
 }
 
 // NewFlightLog returns an empty log.
@@ -42,15 +40,16 @@ func NewFlightLogCap(n int) *FlightLog {
 	if n < 0 {
 		n = 0
 	}
-	return &FlightLog{samples: make([]Sample, 0, n)}
+	return &FlightLog{st: LogState{samples: make([]Sample, 0, n)}}
 }
 
 // Add appends a sample.
-func (l *FlightLog) Add(s Sample) { l.samples = append(l.samples, s) }
+func (l *FlightLog) Add(s Sample) { l.st.samples = append(l.st.samples, s) }
 
-// LogState is a deep snapshot of a flight log: the samples recorded so
-// far and the crash mark. The zero value is ready for SnapshotInto,
-// which reuses its sample buffer across captures.
+// LogState is a flight log's per-run state: the samples recorded so
+// far and the crash mark. A snapshot holds one whole, its samples
+// deep-copied. The zero value is ready for SnapshotInto, which reuses
+// its sample buffer across captures.
 type LogState struct {
 	samples []Sample
 	crashed bool
@@ -60,40 +59,40 @@ type LogState struct {
 // SnapshotInto deep-copies the log into st; the state shares no memory
 // with the log afterwards.
 func (l *FlightLog) SnapshotInto(st *LogState) {
-	st.samples = append(st.samples[:0], l.samples...)
-	st.crashed = l.crashed
-	st.crashAt = l.crashAt
+	samples := append(st.samples[:0], l.st.samples...)
+	*st = l.st
+	st.samples = samples
 }
 
 // RestoreFrom rewinds the log to a captured state, reusing the log's
 // backing storage.
 func (l *FlightLog) RestoreFrom(st *LogState) {
-	l.samples = append(l.samples[:0], st.samples...)
-	l.crashed = st.crashed
-	l.crashAt = st.crashAt
+	samples := append(l.st.samples[:0], st.samples...)
+	l.st = *st
+	l.st.samples = samples
 }
 
 // MarkCrash records the vehicle crash time (first call wins).
 func (l *FlightLog) MarkCrash(at time.Duration) {
-	if !l.crashed {
-		l.crashed = true
-		l.crashAt = at
+	if !l.st.crashed {
+		l.st.crashed = true
+		l.st.crashAt = at
 	}
 }
 
 // Crashed reports whether and when the vehicle crashed.
-func (l *FlightLog) Crashed() (bool, time.Duration) { return l.crashed, l.crashAt }
+func (l *FlightLog) Crashed() (bool, time.Duration) { return l.st.crashed, l.st.crashAt }
 
 // Samples returns the recorded trajectory (caller must not mutate).
-func (l *FlightLog) Samples() []Sample { return l.samples }
+func (l *FlightLog) Samples() []Sample { return l.st.samples }
 
 // Len returns the number of samples.
-func (l *FlightLog) Len() int { return len(l.samples) }
+func (l *FlightLog) Len() int { return len(l.st.samples) }
 
 // Window returns the samples with from <= Time < to.
 func (l *FlightLog) Window(from, to time.Duration) []Sample {
 	var out []Sample
-	for _, s := range l.samples {
+	for _, s := range l.st.samples {
 		if s.Time >= from && s.Time < to {
 			out = append(out, s)
 		}
@@ -140,7 +139,7 @@ func Compute(samples []Sample) Metrics {
 }
 
 // Metrics over the whole log.
-func (l *FlightLog) Metrics() Metrics { return Compute(l.samples) }
+func (l *FlightLog) Metrics() Metrics { return Compute(l.st.samples) }
 
 // WindowMetrics computes metrics over [from, to).
 func (l *FlightLog) WindowMetrics(from, to time.Duration) Metrics {
@@ -153,7 +152,7 @@ func (l *FlightLog) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "t_s,x_sp,x,y_sp,y,z_sp,z,roll,pitch,yaw,source"); err != nil {
 		return err
 	}
-	for _, s := range l.samples {
+	for _, s := range l.st.samples {
 		_, err := fmt.Fprintf(w, "%.3f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%s\n",
 			s.Time.Seconds(),
 			s.Setpoint.X, s.Position.X,
@@ -170,12 +169,12 @@ func (l *FlightLog) WriteCSV(w io.Writer) error {
 // Sparkline renders one axis of the trajectory as a compact ASCII
 // strip for terminal output: width columns spanning the log duration.
 func (l *FlightLog) Sparkline(axis func(Sample) float64, width int) string {
-	if len(l.samples) == 0 || width <= 0 {
+	if len(l.st.samples) == 0 || width <= 0 {
 		return ""
 	}
 	levels := []rune("▁▂▃▄▅▆▇█")
 	min, max := math.Inf(1), math.Inf(-1)
-	for _, s := range l.samples {
+	for _, s := range l.st.samples {
 		v := axis(s)
 		min = math.Min(min, v)
 		max = math.Max(max, v)
@@ -184,12 +183,12 @@ func (l *FlightLog) Sparkline(axis func(Sample) float64, width int) string {
 		max = min + 1e-9
 	}
 	var b strings.Builder
-	per := len(l.samples) / width
+	per := len(l.st.samples) / width
 	if per < 1 {
 		per = 1
 	}
-	for i := 0; i < len(l.samples); i += per {
-		v := axis(l.samples[i])
+	for i := 0; i < len(l.st.samples); i += per {
+		v := axis(l.st.samples[i])
 		idx := int((v - min) / (max - min) * float64(len(levels)-1))
 		if idx < 0 {
 			idx = 0
