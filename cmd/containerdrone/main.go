@@ -158,6 +158,10 @@ func runCampaign(ctx context.Context, scenario string, params map[string]float64
 		containerdrone.WithRunDuration(duration),
 		containerdrone.WithPrefixSharing(fork),
 	}
+	// A refused campaign must leave every output file as it was.
+	if err := containerdrone.NewCampaign(scenario, opts...).Validate(); err != nil {
+		fatal(err)
+	}
 	// Records stream to disk as runs complete, off the workers' hot
 	// path, so long campaigns are observable with tail -f.
 	var recDone func() error
