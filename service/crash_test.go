@@ -276,6 +276,9 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	if m.JournalReplays != 1 || m.Completed != 1 {
 		t.Fatalf("replay metrics: replays=%d completed=%d", m.JournalReplays, m.Completed)
 	}
+	if len(m.Tenants) != 1 || m.Tenants[0].Accepted != m.Accepted {
+		t.Fatalf("accepted %d, per-tenant ledger %+v; want the replayed job in its tenant's ledger", m.Accepted, m.Tenants)
+	}
 	// New submissions resume the ID sequence past the replayed job —
 	// idempotency by job ID holds across lives.
 	sub2, err := cl2.Submit(t.Context(), CampaignRequest{Scenario: "baseline", Runs: 1, DurationS: 1})

@@ -86,8 +86,18 @@ func (q *quotaTable) admit(tenant string) (ok bool, retryAfter time.Duration, re
 		t.tokens--
 	}
 	t.inFlight++
-	t.accepted++
 	return true, 0, ""
+}
+
+// accept counts one job the tenant got accepted. The server calls it
+// wherever it counts the job globally, after the enqueue (journal
+// replays included), so a request admitted here but refused later (bad
+// cell, draining, journal, queue full) never reaches the tenant's
+// ledger.
+func (q *quotaTable) accept(tenant string) {
+	q.mu.Lock()
+	q.state(tenant).accepted++
+	q.mu.Unlock()
 }
 
 // release returns one in-flight slot to the tenant (job reached a

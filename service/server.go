@@ -198,6 +198,7 @@ func NewServer(cfg Config) *Server {
 			s.jobs[j.id] = j
 			s.queue <- j
 			s.metrics.accepted.Add(1)
+			s.quotas.accept(p.Tenant)
 			s.metrics.journalReplays.Add(1)
 		}
 	}
@@ -344,6 +345,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.accepted.Add(1)
+	s.quotas.accept(tenant)
 
 	if r.URL.Query().Get("wait") != "" {
 		select {

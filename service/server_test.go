@@ -195,8 +195,9 @@ func TestQuotaRejection(t *testing.T) {
 
 // TestQuotaBeforeCellChecks pins the submit order around the quota: a
 // request with a bad cell spends its tenant's token and is not
-// accepted, and a tenant over quota gets 429 before any cell is built,
-// even for a grid whose every cell is invalid.
+// accepted, in the tenant's ledger or globally, and a tenant over
+// quota gets 429 before any cell is built, even for a grid whose every
+// cell is invalid.
 func TestQuotaBeforeCellChecks(t *testing.T) {
 	frozen := time.Now()
 	_, cl := newTestServer(t, Config{
@@ -220,9 +221,9 @@ func TestQuotaBeforeCellChecks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	// The tenant ledger counts quota admissions, like a queue_full one.
-	if m.Accepted != 0 || len(m.Tenants) != 1 || m.Tenants[0] != (TenantMetrics{Tenant: "sloppy", Accepted: 1, RejectedQuota: 1}) {
-		t.Fatalf("accepted %d, per-tenant ledger %+v; want one quota admission, one quota rejection, no job", m.Accepted, m.Tenants)
+	// The tenant ledger counts only jobs actually accepted.
+	if m.Accepted != 0 || len(m.Tenants) != 1 || m.Tenants[0] != (TenantMetrics{Tenant: "sloppy", RejectedQuota: 1}) {
+		t.Fatalf("accepted %d, per-tenant ledger %+v; want one quota rejection, no job", m.Accepted, m.Tenants)
 	}
 }
 
@@ -272,8 +273,13 @@ func TestQueueFullRejection(t *testing.T) {
 	if apiErr.RetryAfter <= 0 {
 		t.Fatalf("want Retry-After on queue_full, got %v", apiErr.RetryAfter)
 	}
-	if m := svc.Metrics(); m.RejectedQueue != 1 {
+	m := svc.Metrics()
+	if m.RejectedQueue != 1 {
 		t.Fatalf("metrics rejected_queue = %d, want 1", m.RejectedQueue)
+	}
+	// The refused job is not in the tenant's ledger either.
+	if len(m.Tenants) != 1 || m.Tenants[0].Accepted != m.Accepted {
+		t.Fatalf("accepted %d, per-tenant ledger %+v; want the tenant's accepted equal to it", m.Accepted, m.Tenants)
 	}
 }
 
