@@ -11,8 +11,8 @@ test:
 race:
 	$(GO) test -race -skip TestGoldenTraces . ./internal/campaign/ ./service/ ./gcs/
 	$(GO) test -race -cpu 2 -parallel 1 -run 'TestObserverOrdering|TestRunCancelPartial|TestGoldenTraces/(udpflood-no-attitude|mission-flood|memdos-unguarded|swarm-cross-replay-unmonitored)$$' .
-	$(GO) test -race -run 'TestAirframeHelper|TestRewindFieldCoverageMidRun' ./internal/core/
-	$(GO) test -race -run 'TestSnapshot' ./internal/core/
+	$(GO) test -race -run 'TestAirframeHelper' ./internal/core/
+	$(GO) test -race -run 'TestSnapshot|TestRewind' ./internal/core/
 
 # Full performance suite (perfbench, about 2 minutes): emits
 # BENCH_<timestamp>.json in the repo root — the trajectory point for
