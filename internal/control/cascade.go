@@ -161,8 +161,9 @@ func (c *Cascade) Compute(in *Inputs, sp Setpoint) [4]float64 {
 			Z: c.velZ.Update(velSP.Z-in.GPS.Vel.Z, dt),
 		}
 		// Acceleration → tilt setpoints, rotated into the heading.
-		axB := acc.X*math.Cos(yaw) + acc.Y*math.Sin(yaw)
-		ayB := -acc.X*math.Sin(yaw) + acc.Y*math.Cos(yaw)
+		cy, sy := math.Cos(yaw), math.Sin(yaw)
+		axB := acc.X*cy + acc.Y*sy
+		ayB := -acc.X*sy + acc.Y*cy
 		pitchSP = clamp(axB/c.Airframe.Gravity, g.TiltMax)
 		rollSP = clamp(-ayB/c.Airframe.Gravity, g.TiltMax)
 		yawSP = sp.Yaw

@@ -169,17 +169,22 @@ func (q Quat) Euler() (roll, pitch, yaw float64) {
 
 // Integrate advances the quaternion by body angular rate omega
 // (rad/s) over dt seconds using the exponential map, then normalizes.
+//
+// It is FromAxisAngle(omega, |omega|·dt), then q.Mul(dq).Normalized(),
+// written out on scalars so the airframe tick pays one call for the
+// whole update. Every operation keeps its operands and association, so
+// the result is bit-identical to the composed form
+// (TestQuatIntegrateMatchesReference).
 func (q Quat) Integrate(omega Vec3, dt float64) Quat {
 	n := omega.Norm()
 	angle := n * dt
 	if angle == 0 {
 		return q
 	}
-	// FromAxisAngle(omega, angle) with the norm already in hand
-	// (bit-identical, one sqrt instead of two). The half-angle of one
-	// 100 µs step is ~1e-4 rad, deep inside the first octant, so the
-	// reduction-free sincos kernel applies on the hot path.
-	a := omega.Scale(1 / n)
+	// The half-angle of one 100 µs step is ~1e-4 rad, deep inside the
+	// first octant, so the reduction-free sincos kernel applies on the
+	// hot path.
+	inv := 1 / n
 	half := angle / 2
 	var s, c float64
 	if sincosSmallOK(half) {
@@ -187,8 +192,16 @@ func (q Quat) Integrate(omega Vec3, dt float64) Quat {
 	} else {
 		s, c = math.Sincos(half)
 	}
-	dq := Quat{W: c, X: a.X * s, Y: a.Y * s, Z: a.Z * s}
-	return q.Mul(dq).Normalized()
+	dx, dy, dz := omega.X*inv*s, omega.Y*inv*s, omega.Z*inv*s
+	w := q.W*c - q.X*dx - q.Y*dy - q.Z*dz
+	x := q.W*dx + q.X*c + q.Y*dz - q.Z*dy
+	y := q.W*dy - q.X*dz + q.Y*c + q.Z*dx
+	z := q.W*dz + q.X*dy - q.Y*dx + q.Z*c
+	m := math.Sqrt(w*w + x*x + y*y + z*z)
+	if m == 0 {
+		return IdentityQuat()
+	}
+	return Quat{w / m, x / m, y / m, z / m}
 }
 
 // CosTilt returns the cosine of TiltAngle, clamped to [-1, 1]. Cosine

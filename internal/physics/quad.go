@@ -71,13 +71,9 @@ type Quad struct {
 	elapsed    float64
 }
 
-// rotor geometry: position signs (x forward, y left) per rotor index.
-var rotorGeom = [4]struct{ x, y, dir float64 }{
-	{+1, -1, +1}, // 0 front-right CCW
-	{-1, +1, +1}, // 1 back-left   CCW
-	{+1, +1, -1}, // 2 front-left  CW
-	{-1, -1, -1}, // 3 back-right  CW
-}
+// rotorDir is each rotor's spin direction (+1 CCW, −1 CW), in the
+// quad-x order documented on Quad.
+var rotorDir = [4]float64{+1, +1, -1, -1}
 
 // NewQuad builds a quadrotor at the origin, level, at rest.
 func NewQuad(p Params) *Quad {
@@ -88,7 +84,7 @@ func NewQuad(p Params) *Quad {
 			MaxThrust:    p.MaxThrustPerRotor,
 			TorqueCoeff:  p.TorqueCoeff,
 			TimeConstant: p.RotorTimeConst,
-			Direction:    rotorGeom[i].dir,
+			Direction:    rotorDir[i],
 		}
 	}
 	return q
@@ -146,63 +142,86 @@ func (q *Quad) Crashed() (bool, float64) { return q.crashed, q.crashTime }
 
 // Step integrates the body by dt seconds using semi-implicit Euler.
 // Once crashed, the state freezes at the crash site.
+//
+// Step is the airframe's hot loop, so it works on scalar locals and
+// makes one call, the attitude integrator. Every operation keeps the
+// operands and association of the Vec3/Quat form it replaces, so
+// trajectories are bit-identical to it (TestQuadStepMatchesReference).
 func (q *Quad) Step(dt float64) {
 	if q.crashed {
 		q.elapsed += dt
 		return
 	}
 	p := &q.Params
+	s := &q.State
 
-	// Rotor dynamics.
-	totalThrust := 0.0
-	var torque Vec3
+	// Rotor lag: a first-order lag from commanded to achieved throttle
+	// — what makes a stale actuator command physically consequential.
 	for i := range q.Rotors {
 		r := &q.Rotors[i]
-		r.Step(dt)
-		t := r.Thrust()
-		totalThrust += t
-		g := rotorGeom[i]
-		// Arm torque is r × F with r=(x·L, y·L, 0), F=(0,0,t):
-		// τ = (y·L·t, −x·L·t, 0), plus the propeller reaction about Z
-		// (ReactionTorque with the thrust already in hand).
-		torque.X += g.y * p.ArmLen * t
-		torque.Y += -g.x * p.ArmLen * t
-		torque.Z += r.Direction * r.TorqueCoeff * t
+		if r.TimeConstant <= 0 {
+			r.throttle = r.command
+			continue
+		}
+		if dt != r.alphaDT || r.TimeConstant != r.alphaTau {
+			r.alphaDT, r.alphaTau = dt, r.TimeConstant
+			r.alpha = 1 - math.Exp(-dt/r.TimeConstant)
+		}
+		r.throttle += r.alpha * (r.command - r.throttle)
 	}
 
-	// Forces in world frame: thrust along body Z, gravity, drag, wind.
-	bodyZ := q.State.Attitude.UpVector()
-	force := bodyZ.Scale(totalThrust)
-	force.Z -= p.Mass * p.Gravity
-	force = force.Add(q.State.Vel.Scale(-p.LinDrag))
-	force = force.Add(q.disturb)
+	// Thrust and rotor torques. Arm torque is r × F with
+	// r=(x·L, y·L, 0), F=(0,0,t): τ = (y·L·t, −x·L·t, 0), written out
+	// with the quad-x signs of x and y; plus the propeller reaction
+	// about Z. The sums start from zero, as accumulators would, so a
+	// negative-zero term rounds the same way.
+	rot := &q.Rotors
+	t0, t1, t2, t3 := rot[0].Thrust(), rot[1].Thrust(), rot[2].Thrust(), rot[3].Thrust()
+	l0, l1, l2, l3 := p.ArmLen*t0, p.ArmLen*t1, p.ArmLen*t2, p.ArmLen*t3
+	thrust := 0.0 + t0 + t1 + t2 + t3
+	tx := 0.0 - l0 + l1 + l2 - l3
+	ty := 0.0 - l0 + l1 - l2 + l3
+	tz := 0.0 + rot[0].Direction*rot[0].TorqueCoeff*t0 + rot[1].Direction*rot[1].TorqueCoeff*t1 +
+		rot[2].Direction*rot[2].TorqueCoeff*t2 + rot[3].Direction*rot[3].TorqueCoeff*t3
 
-	// Torques in body frame: rotor torques, damping, disturbance,
-	// gyroscopic term ω × Iω.
-	iw := Vec3{p.Ixx * q.State.Omega.X, p.Iyy * q.State.Omega.Y, p.Izz * q.State.Omega.Z}
-	gyro := q.State.Omega.Cross(iw)
-	torque = torque.Sub(gyro)
-	torque = torque.Add(q.State.Omega.Scale(-p.AngDrag))
-	torque = torque.Add(q.disturbTrq)
+	// Torques in body frame: rotor torques, minus the gyroscopic term
+	// ω × Iω, plus damping and disturbance. Semi-implicit Euler updates
+	// the rates first; the attitude integration starts from them here,
+	// ahead of the force terms, so its long dependency chain overlaps
+	// them.
+	wx, wy, wz := s.Omega.X, s.Omega.Y, s.Omega.Z
+	iwx, iwy, iwz := p.Ixx*wx, p.Iyy*wy, p.Izz*wz
+	tx, ty, tz = tx-(wy*iwz-wz*iwy), ty-(wz*iwx-wx*iwz), tz-(wx*iwy-wy*iwx)
+	tx, ty, tz = tx+wx*-p.AngDrag, ty+wy*-p.AngDrag, tz+wz*-p.AngDrag
+	tx, ty, tz = tx+q.disturbTrq.X, ty+q.disturbTrq.Y, tz+q.disturbTrq.Z
+	wx, wy, wz = wx+tx/p.Ixx*dt, wy+ty/p.Iyy*dt, wz+tz/p.Izz*dt
+	s.Omega = Vec3{wx, wy, wz}
+	up := s.Attitude.UpVector()
+	s.Attitude = s.Attitude.Integrate(Vec3{wx, wy, wz}, dt)
 
-	// Semi-implicit Euler: update rates first, then pose.
-	accel := force.Scale(1 / p.Mass)
-	q.State.Vel = q.State.Vel.Add(accel.Scale(dt))
-	q.State.Pos = q.State.Pos.Add(q.State.Vel.Scale(dt))
-
-	alpha := Vec3{torque.X / p.Ixx, torque.Y / p.Iyy, torque.Z / p.Izz}
-	q.State.Omega = q.State.Omega.Add(alpha.Scale(dt))
-	q.State.Attitude = q.State.Attitude.Integrate(q.State.Omega, dt)
+	// Forces in world frame at the pre-step attitude: thrust along body
+	// Z, gravity, drag, wind. Then velocity, and position from it.
+	vx, vy, vz := s.Vel.X, s.Vel.Y, s.Vel.Z
+	fx, fy, fz := up.X*thrust, up.Y*thrust, up.Z*thrust
+	fz -= p.Mass * p.Gravity
+	fx, fy, fz = fx+vx*-p.LinDrag, fy+vy*-p.LinDrag, fz+vz*-p.LinDrag
+	fx, fy, fz = fx+q.disturb.X, fy+q.disturb.Y, fz+q.disturb.Z
+	invMass := 1 / p.Mass
+	vx, vy, vz = vx+fx*invMass*dt, vy+fy*invMass*dt, vz+fz*invMass*dt
+	s.Vel = Vec3{vx, vy, vz}
+	s.Pos = Vec3{s.Pos.X + vx*dt, s.Pos.Y + vy*dt, s.Pos.Z + vz*dt}
 
 	q.elapsed += dt
 
 	// Crash envelope: ground contact while moving, or inverted. The
 	// tilt test compares cosines (monotone on [0, π]) to keep the
-	// arccosine off the per-tick path.
-	if q.State.Pos.Z <= 0 && q.elapsed > 0.5 {
+	// arccosine off the per-tick path; it reads UpVector().Z directly
+	// because CosTilt's clamp to [−1, 1] cannot move a value across
+	// crashCosTilt.
+	if s.Pos.Z <= 0 && q.elapsed > 0.5 {
 		q.crash()
 	}
-	if q.State.Attitude.CosTilt() < crashCosTilt {
+	if s.Attitude.UpVector().Z < crashCosTilt {
 		q.crash()
 	}
 }

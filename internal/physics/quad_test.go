@@ -11,22 +11,33 @@ func hoverQuad() *Quad {
 	return q
 }
 
-func TestRotorLagConverges(t *testing.T) {
-	r := Rotor{MaxThrust: 6, TimeConstant: 0.04, Direction: 1, TorqueCoeff: 0.016}
-	r.SetCommand(0.8)
-	for i := 0; i < 1000; i++ {
-		r.Step(0.001)
+// rotorQuad is a vehicle high above the ground with every rotor's
+// lag set to tau, for watching the rotors through Quad.Step.
+func rotorQuad(tau float64) *Quad {
+	q := NewQuad(DefaultParams())
+	q.State.Pos = Vec3{Z: 1000}
+	for i := range q.Rotors {
+		q.Rotors[i].TimeConstant = tau
 	}
-	if !near(r.Throttle(), 0.8, 1e-6) {
+	return q
+}
+
+func TestRotorLagConverges(t *testing.T) {
+	q := rotorQuad(0.04)
+	q.SetMotors([4]float64{0.8, 0.8, 0.8, 0.8})
+	for i := 0; i < 1000; i++ {
+		q.Step(0.001)
+	}
+	if r := q.Rotors[0]; !near(r.Throttle(), 0.8, 1e-6) {
 		t.Fatalf("throttle after 1s = %v, want 0.8", r.Throttle())
 	}
 }
 
 func TestRotorLagIsGradual(t *testing.T) {
-	r := Rotor{MaxThrust: 6, TimeConstant: 0.04, Direction: 1}
-	r.SetCommand(1)
-	r.Step(0.04) // one time constant
-	if r.Throttle() < 0.5 || r.Throttle() > 0.75 {
+	q := rotorQuad(0.04)
+	q.SetMotors([4]float64{1, 1, 1, 1})
+	q.Step(0.04) // one time constant
+	if r := q.Rotors[0]; r.Throttle() < 0.5 || r.Throttle() > 0.75 {
 		t.Fatalf("throttle after one τ = %v, want ≈0.63", r.Throttle())
 	}
 }
@@ -44,21 +55,21 @@ func TestRotorCommandClamped(t *testing.T) {
 }
 
 func TestRotorThrustQuadratic(t *testing.T) {
-	r := Rotor{MaxThrust: 8, TimeConstant: 0, Direction: 1}
-	r.SetCommand(0.5)
-	r.Step(0.01)
-	if !near(r.Thrust(), 8*0.25, 1e-9) {
+	// With no lag the throttle snaps to the command in one step.
+	q := rotorQuad(0)
+	q.Rotors[0].MaxThrust = 8
+	q.SetMotors([4]float64{0.5, 0.5, 0.5, 0.5})
+	q.Step(0.01)
+	if r := q.Rotors[0]; !near(r.Thrust(), 8*0.25, 1e-9) {
 		t.Fatalf("thrust at half throttle = %v, want 2", r.Thrust())
 	}
 }
 
 func TestRotorReactionTorqueSign(t *testing.T) {
-	ccw := Rotor{MaxThrust: 6, TorqueCoeff: 0.016, Direction: +1}
-	cw := Rotor{MaxThrust: 6, TorqueCoeff: 0.016, Direction: -1}
-	ccw.SetCommand(1)
-	cw.SetCommand(1)
-	ccw.Step(1)
-	cw.Step(1)
+	q := rotorQuad(0)
+	q.SetMotors([4]float64{1, 1, 1, 1})
+	q.Step(1)
+	ccw, cw := q.Rotors[0], q.Rotors[2]
 	if ccw.ReactionTorque() <= 0 || cw.ReactionTorque() >= 0 {
 		t.Fatalf("reaction torques = %v, %v; want opposite signs",
 			ccw.ReactionTorque(), cw.ReactionTorque())

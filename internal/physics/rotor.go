@@ -1,12 +1,10 @@
 package physics
 
-import "math"
-
 // Rotor models one motor+propeller as a first-order lag from commanded
 // normalized throttle to achieved throttle, with a quadratic thrust
 // map and a reaction (yaw) torque proportional to thrust. The lag is
 // what makes stale actuator commands — the symptom of every DoS attack
-// in the paper — physically consequential.
+// in the paper — physically consequential; Quad.Step advances it.
 type Rotor struct {
 	// MaxThrust is the thrust in newtons at full throttle.
 	MaxThrust float64
@@ -48,19 +46,6 @@ func (r *Rotor) Throttle() float64 { return r.throttle }
 // already in steady flight, as the paper's experiments do (the
 // operator first flies to a safe height, then the scenario begins).
 func (r *Rotor) Settle() { r.throttle = r.command }
-
-// Step advances the motor lag by dt seconds.
-func (r *Rotor) Step(dt float64) {
-	if r.TimeConstant <= 0 {
-		r.throttle = r.command
-		return
-	}
-	if dt != r.alphaDT || r.TimeConstant != r.alphaTau {
-		r.alphaDT, r.alphaTau = dt, r.TimeConstant
-		r.alpha = 1 - math.Exp(-dt/r.TimeConstant)
-	}
-	r.throttle += r.alpha * (r.command - r.throttle)
-}
 
 // SetEfficiency sets the thrust-efficiency factor, clamped to [0,1].
 // The fault layer's rotor-decay injector ramps it down mid-flight.
