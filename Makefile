@@ -22,10 +22,10 @@ bench:
 	bash perfbench/run.sh --workload all --out .
 
 # Go micro-benchmarks (paper figures, ticks/sec, campaign throughput,
-# the airframe kernel) at one iteration each — a smoke pass, not a
-# measurement.
+# the airframe kernel, the network fabric) at one iteration each — a
+# smoke pass, not a measurement.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/physics
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/physics ./internal/netsim
 
 # Golden-trace regression gate: every scenario's outcome pinned
 # bit-for-bit in testdata/golden/.
@@ -37,14 +37,15 @@ golden:
 golden-update:
 	$(GO) test -run TestGoldenTraces -update .
 
-# Short local fuzz pass over the decoders, the receive rings, the
-# service's request and journal decoders, and the airframe kernel
-# against its reference.
+# Short local fuzz pass over the decoders, the receive rings, burst
+# sends against single sends, the service's request and journal
+# decoders, and the airframe kernel against its reference.
 fuzz:
 	$(GO) test ./internal/mavlink -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 30s
 	$(GO) test ./internal/mavlink -run '^$$' -fuzz FuzzDecodeMessages -fuzztime 15s
 	$(GO) test ./internal/netsim -run '^$$' -fuzz 'FuzzRecv$$' -fuzztime 30s
 	$(GO) test ./internal/netsim -run '^$$' -fuzz 'FuzzRecvMultiEndpoint$$' -fuzztime 30s
+	$(GO) test ./internal/netsim -run '^$$' -fuzz 'FuzzSendBurst$$' -fuzztime 15s
 	$(GO) test ./internal/physics -run '^$$' -fuzz 'FuzzQuadStep$$' -fuzztime 15s
 	$(GO) test ./service -run '^$$' -fuzz 'FuzzCampaignRequest$$' -fuzztime 15s
 	$(GO) test ./service -run '^$$' -fuzz 'FuzzJournalReplay$$' -fuzztime 15s

@@ -51,22 +51,23 @@ func CPUHog(core, priority int) *sched.Task {
 
 // Flood generates a UDP packet flood against a host port. The send
 // function abstracts the container's network namespace (wired to
-// Container.Send by the framework); the flood task runs inside the
-// container and emits a burst of packets every period.
+// Container.SendBurst by the framework); the flood task runs inside
+// the container and emits a burst of packets every period, handed to
+// send in one call.
 type Flood struct {
 	// PacketsPerSecond is the attempted flood rate.
 	PacketsPerSecond float64
 	// PayloadSize is the size of each junk datagram.
 	PayloadSize int
 
-	send    func(payload []byte)
+	send    func(payload []byte, n int)
 	payload []byte
 	sent    int64
 }
 
-// NewFlood builds a flood generator. send must enqueue one datagram
-// toward the victim port.
-func NewFlood(send func(payload []byte), pktPerSec float64, payloadSize int) *Flood {
+// NewFlood builds a flood generator. send must enqueue n copies of
+// one datagram toward the victim port.
+func NewFlood(send func(payload []byte, n int), pktPerSec float64, payloadSize int) *Flood {
 	if pktPerSec <= 0 {
 		pktPerSec = 20000
 	}
@@ -85,7 +86,8 @@ func NewFlood(send func(payload []byte), pktPerSec float64, payloadSize int) *Fl
 	return f
 }
 
-// Sent reports packets emitted so far.
+// Sent reports packets emitted so far (attempted sends, whatever the
+// fabric then did with them).
 func (f *Flood) Sent() int64 { return f.sent }
 
 // Task returns the scheduler task that drives the flood: a 1 kHz
@@ -104,10 +106,8 @@ func (f *Flood) Task(core int) *sched.Task {
 		Period:   period,
 		WCET:     200 * time.Microsecond,
 		Work: func(time.Duration) {
-			for i := 0; i < burst; i++ {
-				f.send(f.payload)
-				f.sent++
-			}
+			f.send(f.payload, burst)
+			f.sent += int64(burst)
 		},
 	}
 }

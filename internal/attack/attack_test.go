@@ -39,7 +39,11 @@ func TestCPUHogShape(t *testing.T) {
 
 func TestFloodEmitsAtConfiguredRate(t *testing.T) {
 	var got [][]byte
-	f := NewFlood(func(p []byte) { got = append(got, p) }, 20000, 64)
+	f := NewFlood(func(p []byte, n int) {
+		for i := 0; i < n; i++ {
+			got = append(got, p)
+		}
+	}, 20000, 64)
 	task := f.Task(3)
 	if task.Period != time.Millisecond {
 		t.Fatalf("flood period = %v", task.Period)
@@ -61,14 +65,14 @@ func TestFloodEmitsAtConfiguredRate(t *testing.T) {
 }
 
 func TestFloodDefaults(t *testing.T) {
-	f := NewFlood(func([]byte) {}, 0, 0)
+	f := NewFlood(func([]byte, int) {}, 0, 0)
 	if f.PacketsPerSecond != 20000 || f.PayloadSize != 64 {
 		t.Fatalf("defaults = %v pkt/s, %d B", f.PacketsPerSecond, f.PayloadSize)
 	}
 }
 
 func TestFloodPayloadIsNotMAVLink(t *testing.T) {
-	f := NewFlood(func([]byte) {}, 1000, 32)
+	f := NewFlood(func([]byte, int) {}, 1000, 32)
 	if f.payload[0] == 0xFE {
 		t.Fatal("flood payload accidentally looks like a MAVLink frame")
 	}

@@ -418,14 +418,21 @@ func (c *Container) Bind(port, queueCap int) (*netsim.Endpoint, error) {
 // Send transmits a datagram from the container to a host port. The
 // sandboxed network namespace only reaches host ports that were
 // explicitly mapped; everything else (the Internet, other hosts) is
-// unreachable.
+// unreachable. It is SendBurst of one packet.
 func (c *Container) Send(srcPort, hostPort int, payload []byte) error {
+	return c.SendBurst(srcPort, hostPort, payload, 1)
+}
+
+// SendBurst transmits n copies of one datagram from the container to
+// a host port, as n Send calls in a row would. The running state and
+// the route are checked once per burst.
+func (c *Container) SendBurst(srcPort, hostPort int, payload []byte, n int) error {
 	if c.state != StateRunning {
 		return ErrNotRunning
 	}
 	for i := range c.routes {
 		if r := &c.routes[i]; r.srcPort == srcPort && r.hostPort == hostPort {
-			r.route.Send(payload)
+			r.route.SendBurst(payload, n)
 			return nil
 		}
 	}
@@ -436,7 +443,7 @@ func (c *Container) Send(srcPort, hostPort int, payload []byte) error {
 	dst := netsim.Addr{Host: c.runtime.hostName, Port: hostPort}
 	route := c.runtime.net.Route(src, dst)
 	c.routes = append(c.routes, portRoute{srcPort: srcPort, hostPort: hostPort, route: route})
-	route.Send(payload)
+	route.SendBurst(payload, n)
 	return nil
 }
 

@@ -230,8 +230,8 @@ func (s *System) scheduleAttack() {
 		})
 	case attack.KindFlood:
 		s.Engine.At(plan.Start, func(now time.Duration) {
-			send := func(p []byte) {
-				_ = a.CCE.Send(40000, PortMotor, p)
+			send := func(p []byte, n int) {
+				_ = a.CCE.SendBurst(40000, PortMotor, p, n)
 			}
 			if victim != a {
 				// Peer flood: the compromised member sprays a sibling's
@@ -241,7 +241,7 @@ func (s *System) scheduleAttack() {
 				route := s.Net.Route(
 					netsim.Addr{Host: a.hostName, Port: 40000},
 					netsim.Addr{Host: victim.hostName, Port: PortMotor})
-				send = func(p []byte) { route.Send(p) }
+				send = func(p []byte, n int) { route.SendBurst(p, n) }
 			}
 			a.flood = attack.NewFlood(send, plan.Rate, 64)
 			if err := a.CCE.StartTask(a.flood.Task(CoreContainer)); err != nil {

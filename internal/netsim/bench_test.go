@@ -28,18 +28,39 @@ func BenchmarkTokenBucketAllow(b *testing.B) {
 	}
 }
 
+// BenchmarkFloodedStep times the fabric under the Fig 7 flood into
+// an 8000/s, burst-512 bucket on a 256-slot queue that nothing drains.
+// "burst" is the flood's shape: a 20-packet burst every 10th 100 µs
+// tick (20,000 pkt/s from a 1 kHz task) through the burst path.
+// "single" is four single sends every tick.
 func BenchmarkFloodedStep(b *testing.B) {
-	n := New(nil, nil)
-	dst := Addr{Host: "hce", Port: 14600}
 	src := Addr{Host: "cce", Port: 40000}
-	n.Bind(dst, 256)
-	n.Limit(dst, 8000, 512)
+	dst := Addr{Host: "hce", Port: 14600}
 	payload := make([]byte, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 4; j++ { // ~flood intensity per tick
-			n.Send(src, dst, payload)
+	flooded := func(b *testing.B, send func(n *Network, r *Route, tick int)) {
+		n := New(nil, nil)
+		n.Bind(dst, 256)
+		n.Limit(dst, 8000, 512)
+		r := n.Route(src, dst)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			send(n, r, i)
+			n.Step(time.Duration(i) * 100 * time.Microsecond)
 		}
-		n.Step(time.Duration(i) * 100 * time.Microsecond)
 	}
+	b.Run("burst", func(b *testing.B) {
+		flooded(b, func(_ *Network, r *Route, tick int) {
+			if tick%10 == 0 {
+				r.SendBurst(payload, 20)
+			}
+		})
+	})
+	b.Run("single", func(b *testing.B) {
+		flooded(b, func(n *Network, _ *Route, _ int) {
+			for j := 0; j < 4; j++ { // ~flood intensity per tick
+				n.Send(src, dst, payload)
+			}
+		})
+	})
 }

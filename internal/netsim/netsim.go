@@ -171,11 +171,12 @@ func NewTokenBucket(rate, burst float64) *TokenBucket {
 	return &TokenBucket{rate: rate, burst: burst, tokens: burst}
 }
 
-// Allow consumes one token if available at time now.
+// Allow consumes one token if available at time now. The bucket
+// refills only when now is past the last refill; the integer test
+// keeps every later packet of the same instant off the float divide.
 func (b *TokenBucket) Allow(now time.Duration) bool {
-	dt := (now - b.last).Seconds()
-	if dt > 0 {
-		b.tokens += dt * b.rate
+	if now > b.last {
+		b.tokens += (now - b.last).Seconds() * b.rate
 		if b.tokens > b.burst {
 			b.tokens = b.burst
 		}
@@ -351,38 +352,50 @@ func (n *Network) Send(src, dst Addr, payload []byte) bool {
 	if !bound {
 		return false // nothing listening: silently dropped like real UDP
 	}
-	return n.sendTo(ep, n.limits[dst], src, dst, payload)
+	return n.sendTo(ep, n.limits[dst], src, dst, payload, 1) == 1
 }
 
-// sendTo is the resolved-destination send path shared by Send and
-// Route.Send.
-func (n *Network) sendTo(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload []byte) bool {
+// sendTo is the one resolved-destination send path, shared by Send,
+// Route.Send and Route.SendBurst: count copies of payload, in send
+// order, exactly as count single sends in a row would go. The
+// partition is checked once per burst. The fabric clock cannot move
+// inside a burst, so the bucket cannot refill either: after its first
+// refusal every remaining packet is refused too, and they are counted
+// at once. Each admitted packet still draws loss and jitter in turn.
+func (n *Network) sendTo(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload []byte, count int) int {
+	if count <= 0 {
+		return 0
+	}
 	if n.partitions != nil && n.partitions[hostPair{src.Host, dst.Host}] {
-		ep.stats.DroppedSplit++
-		return false
+		ep.stats.DroppedSplit += int64(count)
+		return 0
 	}
-	if tb != nil && !tb.Allow(n.now) {
-		ep.stats.DroppedLimit++
-		return false
-	}
-	if n.link.Loss > 0 && n.uniform() < n.link.Loss {
-		ep.stats.DroppedLoss++
-		return false
-	}
-	delay := n.link.Latency
-	if n.link.Jitter > 0 {
-		j := time.Duration(float64(n.link.Jitter) * n.norm())
-		if j < 0 {
-			j = -j
+	sent := 0
+	for i := 0; i < count; i++ {
+		if tb != nil && !tb.Allow(n.now) {
+			ep.stats.DroppedLimit += int64(count - i)
+			break
 		}
-		delay += j
+		if n.link.Loss > 0 && n.uniform() < n.link.Loss {
+			ep.stats.DroppedLoss++
+			continue
+		}
+		delay := n.link.Latency
+		if n.link.Jitter > 0 {
+			j := time.Duration(float64(n.link.Jitter) * n.norm())
+			if j < 0 {
+				j = -j
+			}
+			delay += j
+		}
+		buf := append(n.getBuf(len(payload)), payload...)
+		n.inflight = append(n.inflight, flight{
+			pkt: Packet{Src: src, Dst: dst, Payload: buf, SentAt: n.now, ep: ep},
+			at:  n.now + delay,
+		})
+		sent++
 	}
-	buf := append(n.getBuf(len(payload)), payload...)
-	n.inflight = append(n.inflight, flight{
-		pkt: Packet{Src: src, Dst: dst, Payload: buf, SentAt: n.now, ep: ep},
-		at:  n.now + delay,
-	})
-	return true
+	return sent
 }
 
 // Route is a pre-resolved unicast path: fixed source and destination
@@ -407,7 +420,12 @@ func (n *Network) Route(src, dst Addr) *Route {
 
 // Send submits one datagram along the route; semantics are identical
 // to Network.Send with the route's addresses.
-func (r *Route) Send(payload []byte) bool {
+func (r *Route) Send(payload []byte) bool { return r.SendBurst(payload, 1) == 1 }
+
+// SendBurst submits count copies of one datagram along the route at
+// the current instant, exactly as count Send calls in a row would, and
+// returns how many entered the fabric.
+func (r *Route) SendBurst(payload []byte, count int) int {
 	n := r.net
 	if r.gen != n.gen {
 		r.ep = n.endpoints[r.dst]
@@ -415,9 +433,9 @@ func (r *Route) Send(payload []byte) bool {
 		r.gen = n.gen
 	}
 	if r.ep == nil {
-		return false
+		return 0
 	}
-	return n.sendTo(r.ep, r.tb, r.src, r.dst, payload)
+	return n.sendTo(r.ep, r.tb, r.src, r.dst, payload, count)
 }
 
 // Step advances the fabric to the given simulated time, delivering

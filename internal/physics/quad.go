@@ -213,15 +213,20 @@ func (q *Quad) Step(dt float64) {
 
 	q.elapsed += dt
 
-	// Crash envelope: ground contact while moving, or inverted. The
-	// tilt test compares cosines (monotone on [0, π]) to keep the
-	// arccosine off the per-tick path; it reads UpVector().Z directly
-	// because CosTilt's clamp to [−1, 1] cannot move a value across
-	// crashCosTilt.
+	// Crash envelope: ground contact while moving, inverted, or a
+	// state that is no longer finite. The tilt test compares cosines
+	// (monotone on [0, π]) to keep the arccosine off the per-tick path;
+	// it reads UpVector().Z directly because CosTilt's clamp to [−1, 1]
+	// cannot move a value across crashCosTilt. It is negated so that a
+	// NaN attitude fails it too, which is what crashes a non-finite
+	// state: a non-finite rate, thrust or torque makes Integrate return
+	// an all-NaN attitude in the same step. Only a non-finite force
+	// disturbance, or a velocity that overflows, could leave the
+	// attitude finite.
 	if s.Pos.Z <= 0 && q.elapsed > 0.5 {
 		q.crash()
 	}
-	if s.Attitude.UpVector().Z < crashCosTilt {
+	if !(s.Attitude.UpVector().Z >= crashCosTilt) {
 		q.crash()
 	}
 }

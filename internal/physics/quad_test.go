@@ -2,6 +2,7 @@ package physics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -146,6 +147,45 @@ func TestQuadStateFreezesAfterCrash(t *testing.T) {
 	if q.State != before {
 		t.Fatal("state changed after crash")
 	}
+}
+
+// TestNonFiniteStateCrashes spins random vehicles at up to 400 rad/s
+// with 10 ms steps, which drives many of them non-finite: each of
+// those must report a crash, not fly on with NaN physics.
+func TestNonFiniteStateCrashes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	nonFinite := 0
+	for v := 0; v < 200; v++ {
+		q := randomQuad(rng, 400)
+		for i := 0; i < 40; i++ {
+			q.Step(0.01)
+		}
+		if stateFinite(q.State) {
+			continue
+		}
+		nonFinite++
+		if c, _ := q.Crashed(); !c {
+			t.Errorf("vehicle %d ended non-finite but not crashed: %+v", v, q.State)
+		}
+	}
+	if nonFinite == 0 {
+		t.Fatal("no vehicle went non-finite; the test checks nothing")
+	}
+	t.Logf("%d of 200 vehicles ended non-finite", nonFinite)
+}
+
+// stateFinite reports whether every component of the state is finite.
+func stateFinite(s State) bool {
+	for _, v := range []float64{
+		s.Pos.X, s.Pos.Y, s.Pos.Z, s.Vel.X, s.Vel.Y, s.Vel.Z,
+		s.Omega.X, s.Omega.Y, s.Omega.Z,
+		s.Attitude.W, s.Attitude.X, s.Attitude.Y, s.Attitude.Z,
+	} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestQuadRollTorqueSignConsistency(t *testing.T) {
