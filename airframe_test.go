@@ -98,18 +98,12 @@ func containsEvent(events []string, want string) bool {
 	return false
 }
 
-// helperGoroutines waits up to 2 s for every airframe helper goroutine
-// to exit, since a helper that has signaled its exit may still be
-// unwinding, and returns how many are left. It counts helpers by their
-// loop function, not all goroutines, so goroutines that other tests
-// leave winding down cannot move the count.
-func helperGoroutines() int {
-	buf := make([]byte, 1<<20)
-	count := func() int {
-		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*airframeHelper).loop(")
-	}
-	n := count()
-	for deadline := time.Now().Add(2 * time.Second); n > 0 && time.Now().Before(deadline); n = count() {
+// settledGoroutines waits for the goroutine count to drop to want,
+// since a goroutine that has signaled its exit may still be unwinding,
+// and returns the last count seen.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
 		time.Sleep(time.Millisecond)
 	}
 	return n
@@ -121,6 +115,7 @@ func helperGoroutines() int {
 // process.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	withProcs(2, func() {
+		before := runtime.NumGoroutine()
 		run := func(ctx context.Context, obs containerdrone.Observer) {
 			sim, err := containerdrone.New("udpflood", containerdrone.WithDuration(3*time.Second),
 				containerdrone.WithObserver(obs))
@@ -131,8 +126,8 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		}
 
 		run(context.Background(), containerdrone.ObserverFuncs{})
-		if n := helperGoroutines(); n != 0 {
-			t.Fatalf("after a normal run: %d helper goroutines", n)
+		if n := settledGoroutines(before); n > before {
+			t.Fatalf("after a normal run: %d goroutines, %d before", n, before)
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
@@ -142,8 +137,8 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 			}
 		}})
 		cancel()
-		if n := helperGoroutines(); n != 0 {
-			t.Fatalf("after a canceled run: %d helper goroutines", n)
+		if n := settledGoroutines(before); n > before {
+			t.Fatalf("after a canceled run: %d goroutines, %d before", n, before)
 		}
 
 		func() {
@@ -158,8 +153,8 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 				}
 			}})
 		}()
-		if n := helperGoroutines(); n != 0 {
-			t.Fatalf("after a panicking observer: %d helper goroutines", n)
+		if n := settledGoroutines(before); n > before {
+			t.Fatalf("after a panicking observer: %d goroutines, %d before", n, before)
 		}
 	})
 }

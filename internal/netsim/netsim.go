@@ -363,13 +363,11 @@ func (n *Network) Send(src, dst Addr, payload []byte) bool {
 // refusal every remaining packet is refused too, and they are counted
 // at once. Each admitted packet still draws loss and jitter in turn.
 func (n *Network) sendTo(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload []byte, count int) int {
-	if count <= 0 {
-		return 0
-	}
 	if n.partitions != nil && n.partitions[hostPair{src.Host, dst.Host}] {
 		ep.stats.DroppedSplit += int64(count)
 		return 0
 	}
+	f := flight{pkt: Packet{Src: src, Dst: dst, SentAt: n.now, ep: ep}, at: n.now}
 	sent := 0
 	for i := 0; i < count; i++ {
 		if tb != nil && !tb.Allow(n.now) {
@@ -380,19 +378,16 @@ func (n *Network) sendTo(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload [
 			ep.stats.DroppedLoss++
 			continue
 		}
-		delay := n.link.Latency
+		f.at = n.now + n.link.Latency
 		if n.link.Jitter > 0 {
 			j := time.Duration(float64(n.link.Jitter) * n.norm())
 			if j < 0 {
 				j = -j
 			}
-			delay += j
+			f.at += j
 		}
-		buf := append(n.getBuf(len(payload)), payload...)
-		n.inflight = append(n.inflight, flight{
-			pkt: Packet{Src: src, Dst: dst, Payload: buf, SentAt: n.now, ep: ep},
-			at:  n.now + delay,
-		})
+		f.pkt.Payload = append(n.getBuf(len(payload)), payload...)
+		n.inflight = append(n.inflight, f)
 		sent++
 	}
 	return sent
@@ -420,22 +415,29 @@ func (n *Network) Route(src, dst Addr) *Route {
 
 // Send submits one datagram along the route; semantics are identical
 // to Network.Send with the route's addresses.
-func (r *Route) Send(payload []byte) bool { return r.SendBurst(payload, 1) == 1 }
+func (r *Route) Send(payload []byte) bool {
+	return r.resolve() && r.net.sendTo(r.ep, r.tb, r.src, r.dst, payload, 1) == 1
+}
 
-// SendBurst submits count copies of one datagram along the route at
-// the current instant, exactly as count Send calls in a row would, and
-// returns how many entered the fabric.
+// SendBurst submits count (>= 0) copies of one datagram along the
+// route at the current instant, exactly as count Send calls in a row
+// would, and returns how many entered the fabric.
 func (r *Route) SendBurst(payload []byte, count int) int {
-	n := r.net
-	if r.gen != n.gen {
+	if !r.resolve() {
+		return 0
+	}
+	return r.net.sendTo(r.ep, r.tb, r.src, r.dst, payload, count)
+}
+
+// resolve refreshes the route's endpoint and limit after a topology
+// change and reports whether anything listens at the destination.
+func (r *Route) resolve() bool {
+	if n := r.net; r.gen != n.gen {
 		r.ep = n.endpoints[r.dst]
 		r.tb = n.limits[r.dst]
 		r.gen = n.gen
 	}
-	if r.ep == nil {
-		return 0
-	}
-	return n.sendTo(r.ep, r.tb, r.src, r.dst, payload, count)
+	return r.ep != nil
 }
 
 // Step advances the fabric to the given simulated time, delivering
