@@ -72,9 +72,10 @@ func warmRunAllocs(t *testing.T, cfg Config) float64 {
 // TestWarmCampaignRunAllocs extends the zero-alloc regression gate
 // from a single Engine.Step to an entire steady-state campaign run:
 // with the System reused and the Result buffers pooled, a warm
-// baseline run is allocation-free end to end, and a warm flood run is
-// bounded by its per-launch attack setup (flood generator, trace
-// events), not by anything per-tick or per-record.
+// baseline run, single drone or fleet, is allocation-free end to end,
+// and a warm flood run is bounded by its per-launch attack setup
+// (flood generator, trace events), not by anything per-tick or
+// per-record.
 func TestWarmCampaignRunAllocs(t *testing.T) {
 	if allocs := warmRunAllocs(t, ScenarioBaseline()); allocs > 4 {
 		t.Fatalf("warm baseline campaign run allocates %.1f times, want <= 4", allocs)
@@ -85,5 +86,10 @@ func TestWarmCampaignRunAllocs(t *testing.T) {
 	flood.Attack.Start = 500 * time.Millisecond
 	if allocs := warmRunAllocs(t, flood); allocs > 64 {
 		t.Fatalf("warm flood campaign run allocates %.1f times, want <= 64", allocs)
+	}
+	// A fleet run refills every member's report; its Streams and Tasks
+	// arrays are reused like the leader's.
+	if allocs := warmRunAllocs(t, MustBuild("swarm-baseline", Options{})); allocs > 4 {
+		t.Fatalf("warm swarm-baseline campaign run allocates %.1f times, want <= 4", allocs)
 	}
 }

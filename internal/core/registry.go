@@ -28,22 +28,9 @@ type Options struct {
 	Params map[string]float64
 }
 
-// clone returns a deep copy so a builder can edit freely.
-func (o Options) clone() Options {
-	c := o
-	if o.Params != nil {
-		c.Params = make(map[string]float64, len(o.Params))
-		for k, v := range o.Params {
-			c.Params[k] = v
-		}
-	}
-	return c
-}
-
-// BuildFunc constructs a scenario's Config from options. Builders may
-// interpret options themselves, but most ignore them: Build applies
-// Seed, Duration, and Params generically after the builder returns.
-type BuildFunc func(Options) Config
+// BuildFunc constructs a scenario's default Config. Build applies the
+// Options (Seed, Duration, Params) after the builder returns.
+type BuildFunc func() Config
 
 // Scenario is one registered, named experiment definition.
 type Scenario struct {
@@ -108,7 +95,7 @@ func Build(name string, opts Options) (Config, error) {
 		}
 		return Config{}, fmt.Errorf("core: unknown scenario %q (registered: %v)", name, names)
 	}
-	cfg := s.Build(opts.clone())
+	cfg := s.Build()
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
 	}
@@ -273,19 +260,19 @@ func missionBaseConfig() Config {
 func init() {
 	Register("baseline",
 		"attack-free flight of the full ContainerDrone architecture",
-		func(Options) Config { return DefaultConfig() })
+		DefaultConfig)
 
 	Register("memdos",
 		"Fig 5: memory-bandwidth DoS from the CCE with MemGuard ON — oscillation but stable",
-		func(Options) Config { return memDoSConfig(true) })
+		func() Config { return memDoSConfig(true) })
 
 	Register("memdos-unguarded",
 		"Fig 4: memory-bandwidth DoS with MemGuard OFF — expect crash shortly after attack start",
-		func(Options) Config { return memDoSConfig(false) })
+		func() Config { return memDoSConfig(false) })
 
 	Register("kill",
 		"Fig 6: complex controller killed at 12s — receiving-interval rule must fire",
-		func(Options) Config {
+		func() Config {
 			cfg := DefaultConfig()
 			cfg.Attack = attack.Plan{Kind: attack.KindKill, Start: 12 * time.Second}
 			return cfg
@@ -293,7 +280,7 @@ func init() {
 
 	Register("udpflood",
 		"Fig 7: UDP flood into the HCE motor port at 8s — attitude rule must fire and recover",
-		func(Options) Config {
+		func() Config {
 			cfg := DefaultConfig()
 			cfg.Attack = attack.Plan{Kind: attack.KindFlood, Start: 8 * time.Second, Rate: 20000}
 			return cfg
@@ -301,7 +288,7 @@ func init() {
 
 	Register("cpuhog",
 		"busy-loop CPU DoS inside the CCE at 10s — cpuset+priority caps contain it",
-		func(Options) Config {
+		func() Config {
 			cfg := DefaultConfig()
 			cfg.Attack = attack.Plan{Kind: attack.KindCPUHog, Start: 10 * time.Second}
 			return cfg
@@ -309,11 +296,11 @@ func init() {
 
 	Register("mission",
 		"attack-free square-patrol mission flown by the containerized controller",
-		func(Options) Config { return missionBaseConfig() })
+		missionBaseConfig)
 
 	Register("mission-kill",
 		"square patrol + controller kill at 18s — safety controller freezes and holds",
-		func(Options) Config {
+		func() Config {
 			cfg := missionBaseConfig()
 			cfg.Attack = attack.Plan{Kind: attack.KindKill, Start: 18 * time.Second}
 			return cfg
@@ -321,7 +308,7 @@ func init() {
 
 	Register("mission-flood",
 		"square patrol + UDP flood at 12s — failover mid-mission",
-		func(Options) Config {
+		func() Config {
 			cfg := missionBaseConfig()
 			cfg.Attack = attack.Plan{Kind: attack.KindFlood, Start: 12 * time.Second, Rate: 20000}
 			return cfg
@@ -329,7 +316,7 @@ func init() {
 
 	Register("kill-no-interval",
 		"monitor ablation: controller kill with the receiving-interval rule disabled — only the envelope rules can catch it",
-		func(Options) Config {
+		func() Config {
 			cfg := DefaultConfig()
 			cfg.Attack = attack.Plan{Kind: attack.KindKill, Start: 12 * time.Second}
 			cfg.Rules.MaxInterval = time.Hour // ablated
@@ -339,7 +326,7 @@ func init() {
 
 	Register("udpflood-no-attitude",
 		"monitor ablation: UDP flood with the attitude-error rule disabled — only the envelope rules can catch it",
-		func(Options) Config {
+		func() Config {
 			cfg := DefaultConfig()
 			cfg.Attack = attack.Plan{Kind: attack.KindFlood, Start: 8 * time.Second, Rate: 20000}
 			cfg.Rules.MaxAttitudeError = math.Pi // ablated (> any physical tilt short of inversion)
@@ -349,7 +336,7 @@ func init() {
 
 	Register("udpflood-envelope",
 		"UDP flood with both paper rules AND the extended envelope rules armed",
-		func(Options) Config {
+		func() Config {
 			cfg := DefaultConfig()
 			cfg.Attack = attack.Plan{Kind: attack.KindFlood, Start: 8 * time.Second, Rate: 20000}
 			cfg.Envelope = monitor.DefaultEnvelopeRules()
@@ -378,63 +365,63 @@ func faultConfig(kind fault.Kind, start, dur time.Duration, monitored bool) Conf
 func init() {
 	Register("gps-spoof",
 		"GPS/Vicon spoof drifting 0.5 m/s from 10s — the stealth fault: every estimator believes the lie, the vehicle walks off station undetected",
-		func(Options) Config { return faultConfig(fault.KindGPSSpoof, 10*time.Second, 0, true) })
+		func() Config { return faultConfig(fault.KindGPSSpoof, 10*time.Second, 0, true) })
 
 	Register("gps-spoof-unmonitored",
 		"GPS spoof with the monitor disabled — identical trajectory to gps-spoof, demonstrating the monitor is blind to spoofed state",
-		func(Options) Config { return faultConfig(fault.KindGPSSpoof, 10*time.Second, 0, false) })
+		func() Config { return faultConfig(fault.KindGPSSpoof, 10*time.Second, 0, false) })
 
 	Register("imu-bias",
 		"0.08 rad/s gyro bias injected at 10s — estimator integrates the lie; attitude rule should catch the divergence",
-		func(Options) Config { return faultConfig(fault.KindIMUBias, 10*time.Second, 0, true) })
+		func() Config { return faultConfig(fault.KindIMUBias, 10*time.Second, 0, true) })
 
 	Register("imu-bias-unmonitored",
 		"gyro bias with the monitor disabled — the undefended outcome of imu-bias",
-		func(Options) Config { return faultConfig(fault.KindIMUBias, 10*time.Second, 0, false) })
+		func() Config { return faultConfig(fault.KindIMUBias, 10*time.Second, 0, false) })
 
 	Register("baro-drop",
 		"barometer wedges at 10s, repeating its last reading — altitude flows from the fused estimate, so the flight should shrug",
-		func(Options) Config { return faultConfig(fault.KindBaroDrop, 10*time.Second, 0, true) })
+		func() Config { return faultConfig(fault.KindBaroDrop, 10*time.Second, 0, true) })
 
 	Register("netsplit",
 		"HCE↔CCE bridge partitioned 10–15s — receiving-interval rule must fire within its threshold",
-		func(Options) Config { return faultConfig(fault.KindNetSplit, 10*time.Second, 5*time.Second, true) })
+		func() Config { return faultConfig(fault.KindNetSplit, 10*time.Second, 5*time.Second, true) })
 
 	Register("netsplit-unmonitored",
 		"bridge partition with the monitor disabled — the vehicle flies 5s on frozen motor commands",
-		func(Options) Config { return faultConfig(fault.KindNetSplit, 10*time.Second, 5*time.Second, false) })
+		func() Config { return faultConfig(fault.KindNetSplit, 10*time.Second, 5*time.Second, false) })
 
 	Register("mav-replay",
 		"on-path adversary replays captured motor frames from 12s — valid CRCs keep the interval rule happy; only attitude/envelope can notice",
-		func(Options) Config { return faultConfig(fault.KindMAVReplay, 12*time.Second, 0, true) })
+		func() Config { return faultConfig(fault.KindMAVReplay, 12*time.Second, 0, true) })
 
 	Register("mav-replay-unmonitored",
 		"MAVLink replay with the monitor disabled — the undefended outcome of mav-replay",
-		func(Options) Config { return faultConfig(fault.KindMAVReplay, 12*time.Second, 0, false) })
+		func() Config { return faultConfig(fault.KindMAVReplay, 12*time.Second, 0, false) })
 
 	Register("jitter",
 		"bridge degrades at 8s: 20ms σ jitter + 20% loss reorders and starves the 400 Hz motor stream",
-		func(Options) Config { return faultConfig(fault.KindJitter, 8*time.Second, 0, true) })
+		func() Config { return faultConfig(fault.KindJitter, 8*time.Second, 0, true) })
 
 	Register("prio-inv",
 		"FIFO-95 spinner seizes the safety core for 400ms at 10s — detection itself is starved until the burst ends",
-		func(Options) Config {
+		func() Config {
 			return faultConfig(fault.KindPrioInv, 10*time.Second, 400*time.Millisecond, true)
 		})
 
 	Register("prio-inv-unmonitored",
 		"priority-inversion burst with the monitor disabled — transient control gap, no failover",
-		func(Options) Config {
+		func() Config {
 			return faultConfig(fault.KindPrioInv, 10*time.Second, 400*time.Millisecond, false)
 		})
 
 	Register("rotor-decay",
 		"rotor 0 loses 35% thrust efficiency from 10s (8%/s) — asymmetric damage the controllers must fight",
-		func(Options) Config { return faultConfig(fault.KindRotorDecay, 10*time.Second, 0, true) })
+		func() Config { return faultConfig(fault.KindRotorDecay, 10*time.Second, 0, true) })
 
 	Register("rotor-decay-unmonitored",
 		"rotor decay with the monitor disabled — the undefended outcome of rotor-decay",
-		func(Options) Config { return faultConfig(fault.KindRotorDecay, 10*time.Second, 0, false) })
+		func() Config { return faultConfig(fault.KindRotorDecay, 10*time.Second, 0, false) })
 }
 
 // swarmConfig is the shared base of the swarm scenarios: a 3-drone
@@ -458,11 +445,11 @@ func swarmConfig(dur time.Duration) Config {
 func init() {
 	Register("swarm-baseline",
 		"attack-free 3-drone formation hover — the fleet regression baseline",
-		func(Options) Config { return swarmConfig(20 * time.Second) })
+		func() Config { return swarmConfig(20 * time.Second) })
 
 	Register("swarm-mission",
 		"3-drone fleet: the leader flies the square patrol, followers hold formation via the GCS",
-		func(Options) Config {
+		func() Config {
 			cfg := swarmConfig(40 * time.Second)
 			cfg.Rules.MaxAttitudeError = 25 * math.Pi / 180
 			cfg.Mission = squareMission()
@@ -471,7 +458,7 @@ func init() {
 
 	Register("fleet-split",
 		"3-drone patrol: the leader is partitioned from the GCS 12–22s — followers fly their last-heard slot, then resync",
-		func(Options) Config {
+		func() Config {
 			cfg := swarmConfig(40 * time.Second)
 			cfg.Rules.MaxAttitudeError = 25 * math.Pi / 180
 			cfg.Mission = squareMission()
@@ -483,7 +470,7 @@ func init() {
 
 	Register("swarm-peer-flood",
 		"compromised member 2 floods the leader's motor port across the fabric from 8s — the leader's attitude rule must catch it",
-		func(Options) Config {
+		func() Config {
 			cfg := swarmConfig(20 * time.Second)
 			cfg.Attack = attack.Plan{
 				Kind: attack.KindFlood, Start: 8 * time.Second, Rate: 20000,
@@ -494,7 +481,7 @@ func init() {
 
 	Register("swarm-cross-replay",
 		"on-path adversary captures member 1's motor frames and replays them at member 2 from 12s",
-		func(Options) Config {
+		func() Config {
 			cfg := swarmConfig(25 * time.Second)
 			cfg.Faults = fault.Plan{Specs: []fault.Spec{
 				{Kind: fault.KindMAVReplay, Start: 12 * time.Second, Member: 2, FromMember: 1},
@@ -504,7 +491,7 @@ func init() {
 
 	Register("swarm-cross-replay-unmonitored",
 		"cross-drone replay with the monitor disabled — the undefended outcome of swarm-cross-replay",
-		func(Options) Config {
+		func() Config {
 			cfg := swarmConfig(25 * time.Second)
 			cfg.MonitorEnabled = false
 			cfg.Faults = fault.Plan{Specs: []fault.Spec{
@@ -515,7 +502,7 @@ func init() {
 
 	Register("swarm-compromised",
 		"member 1's own container floods its own HCE from 8s — the compromised-member sweep base (vary attack.member)",
-		func(Options) Config {
+		func() Config {
 			cfg := swarmConfig(20 * time.Second)
 			cfg.Attack = attack.Plan{
 				Kind: attack.KindFlood, Start: 8 * time.Second, Rate: 20000,

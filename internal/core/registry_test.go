@@ -126,5 +126,5 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register("baseline", "dup", func(Options) Config { return DefaultConfig() })
+	Register("baseline", "dup", DefaultConfig)
 }

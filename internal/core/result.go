@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"strings"
 	"time"
@@ -14,16 +13,33 @@ import (
 
 // Result summarizes one scenario run.
 //
-// For a single-drone run the top-level fields describe the vehicle and
-// Members is nil. For a fleet run the top-level fields aggregate:
+// The embedded Outcome is the vehicle's own for a single-drone run,
+// and Members is nil. For a fleet run the Outcome aggregates:
 // Crashed/Switched report the earliest event across members,
 // GarbagePkts sums, Violations concatenates in member order, and the
-// flight-shape fields (Metrics, Streams, Tasks, Log, ...) describe the
-// leader; Members then carries every member's own outcome (leader
+// flight-shape fields (Metrics, Streams, IdleRates, Tasks,
+// MissionComplete, as well as AttackMetrics and Log) describe the
+// leader; Members then carries every member's own Outcome (leader
 // included).
 type Result struct {
 	Cfg Config
+	Outcome
 
+	// AttackMetrics are the tracking metrics over the attack window.
+	AttackMetrics telemetry.Metrics
+
+	// Members carries per-member outcomes for fleet runs; nil for a
+	// single drone.
+	Members []MemberReport
+
+	Log   *telemetry.FlightLog
+	Trace *sim.Trace
+}
+
+// Outcome is one vehicle's outcome over a run: whether it crashed,
+// whether the Simplex switch handed control to the safety controller
+// (and on which rule), what the monitor saw, and how it flew.
+type Outcome struct {
 	Crashed   bool
 	CrashTime time.Duration
 
@@ -37,10 +53,8 @@ type Result struct {
 	// every waypoint (false when no mission was configured).
 	MissionComplete bool
 
-	// Whole-flight and attack-window tracking metrics.
-	Metrics       telemetry.Metrics
-	AttackMetrics telemetry.Metrics
-
+	// Metrics are the whole-flight tracking metrics.
+	Metrics   telemetry.Metrics
 	Streams   []StreamStat
 	IdleRates [NumCores]float64
 
@@ -48,35 +62,13 @@ type Result struct {
 	// reading of the resource-DoS figures (deadline misses and latency
 	// inflation during the attack window).
 	Tasks []TaskReport
-
-	// Members carries per-member outcomes for fleet runs; nil for a
-	// single drone.
-	Members []MemberReport
-
-	Log   *telemetry.FlightLog
-	Trace *sim.Trace
 }
 
 // MemberReport is one fleet member's outcome within a swarm Result.
 type MemberReport struct {
 	Member int
 	Host   string
-
-	Crashed   bool
-	CrashTime time.Duration
-
-	Switched    bool
-	SwitchTime  time.Duration
-	SwitchRule  monitor.Rule
-	Violations  []monitor.Violation
-	GarbagePkts int64
-
-	MissionComplete bool
-
-	Metrics   telemetry.Metrics
-	Streams   []StreamStat
-	IdleRates [NumCores]float64
-	Tasks     []TaskReport
+	Outcome
 }
 
 // Run executes the scenario to completion and returns the result.
@@ -124,36 +116,12 @@ func (s *System) Result() *Result {
 // resultInto fills r with the current outcome, reusing its Streams,
 // Tasks, and Members backing arrays.
 func (s *System) resultInto(r *Result) {
-	streams, tasks, members := r.Streams[:0], r.Tasks[:0], r.Members[:0]
-	d0 := s.drones[0]
-	*r = Result{Cfg: s.Cfg, Log: d0.Log, Trace: s.Trace, GarbagePkts: d0.garbage}
-	r.Crashed, r.CrashTime = d0.Log.Crashed()
-	if at, rule, ok := d0.Monitor.SwitchedAt(); ok {
-		r.Switched, r.SwitchTime, r.SwitchRule = true, at, rule
-	}
-	r.Violations = d0.Monitor.Violations()
-	if d0.mission != nil {
-		r.MissionComplete = d0.mission.Done()
-	}
-	r.Metrics = d0.Log.Metrics()
+	members, d0 := r.Members[:0], s.drones[0]
+	*r = Result{Cfg: s.Cfg, Outcome: r.Outcome, Log: d0.Log, Trace: s.Trace}
+	d0.outcomeInto(&r.Outcome)
 	if s.Cfg.Attack.Active() {
 		r.AttackMetrics = d0.Log.WindowMetrics(s.Cfg.Attack.Start, s.Cfg.Duration)
 	}
-	r.Streams = streams
-	for _, st := range d0.streams {
-		r.Streams = append(r.Streams, *st)
-	}
-	// slices.SortFunc rather than sort.Slice: no reflection, no
-	// allocation on the per-run campaign path. Stream names and
-	// (core, name) task keys are unique, so the unstable sort still
-	// yields one deterministic order.
-	slices.SortFunc(r.Streams, func(a, b StreamStat) int { return strings.Compare(a.Name, b.Name) })
-	for core := 0; core < NumCores; core++ {
-		r.IdleRates[core] = d0.CPU.IdleRate(core)
-	}
-	r.Tasks = tasks
-	appendTaskReports(&r.Tasks, d0)
-
 	if len(s.drones) == 1 {
 		return
 	}
@@ -161,42 +129,17 @@ func (s *System) resultInto(r *Result) {
 	// Fleet aggregation: earliest crash/switch across members, summed
 	// garbage, violations concatenated in member order (backed by a
 	// System-owned scratch so warm-pool runs stay allocation-free at
-	// steady state), plus one MemberReport per member.
+	// steady state), plus one MemberReport per member. Growing within
+	// capacity keeps the previous run's reports, so their Streams/Tasks
+	// backing arrays are recycled instead of reallocated.
 	s.violScratch = s.violScratch[:0]
-	r.Members = members
-	for _, d := range s.drones {
-		// Reuse the previous run's report at this slot (it survives in
-		// the slice's capacity) so its Streams/Tasks backing arrays are
-		// recycled instead of reallocated.
-		var prev MemberReport
-		if cap(r.Members) > len(r.Members) {
-			prev = r.Members[:len(r.Members)+1][len(r.Members)]
-		}
-		mStreams, mTasks := prev.Streams[:0], prev.Tasks[:0]
-		m := MemberReport{Member: d.idx, Host: d.hostName, GarbagePkts: d.garbage}
-		m.Crashed, m.CrashTime = d.Log.Crashed()
-		if at, rule, ok := d.Monitor.SwitchedAt(); ok {
-			m.Switched, m.SwitchTime, m.SwitchRule = true, at, rule
-		}
-		m.Violations = d.Monitor.Violations()
-		if d.mission != nil {
-			m.MissionComplete = d.mission.Done()
-		}
-		m.Metrics = d.Log.Metrics()
-		m.Streams = mStreams
-		for _, st := range d.streams {
-			m.Streams = append(m.Streams, *st)
-		}
-		slices.SortFunc(m.Streams, func(a, b StreamStat) int { return strings.Compare(a.Name, b.Name) })
-		for core := 0; core < NumCores; core++ {
-			m.IdleRates[core] = d.CPU.IdleRate(core)
-		}
-		m.Tasks = mTasks
-		appendTaskReports(&m.Tasks, d)
-		r.Members = append(r.Members, m)
-
-		if d.idx > 0 {
-			r.GarbagePkts += d.garbage
+	r.Members = slices.Grow(members, len(s.drones))[:len(s.drones)]
+	for i, d := range s.drones {
+		m := &r.Members[i]
+		m.Member, m.Host = d.idx, d.hostName
+		d.outcomeInto(&m.Outcome)
+		if i > 0 {
+			r.GarbagePkts += m.GarbagePkts
 			if m.Crashed && (!r.Crashed || m.CrashTime < r.CrashTime) {
 				r.Crashed, r.CrashTime = true, m.CrashTime
 			}
@@ -207,6 +150,37 @@ func (s *System) resultInto(r *Result) {
 		s.violScratch = append(s.violScratch, m.Violations...)
 	}
 	r.Violations = s.violScratch
+}
+
+// outcomeInto fills o with the member's current outcome, reusing its
+// Streams and Tasks backing arrays.
+func (d *Drone) outcomeInto(o *Outcome) {
+	*o = Outcome{
+		GarbagePkts: d.garbage,
+		Violations:  d.Monitor.Violations(),
+		Metrics:     d.Log.Metrics(),
+		Streams:     o.Streams[:0],
+		Tasks:       o.Tasks[:0],
+	}
+	o.Crashed, o.CrashTime = d.Log.Crashed()
+	if at, rule, ok := d.Monitor.SwitchedAt(); ok {
+		o.Switched, o.SwitchTime, o.SwitchRule = true, at, rule
+	}
+	if d.mission != nil {
+		o.MissionComplete = d.mission.Done()
+	}
+	for _, st := range d.streams {
+		o.Streams = append(o.Streams, *st)
+	}
+	// slices.SortFunc rather than sort.Slice: no reflection, no
+	// allocation on the per-run campaign path. Stream names and
+	// (core, name) task keys are unique, so the unstable sort still
+	// yields one deterministic order.
+	slices.SortFunc(o.Streams, func(a, b StreamStat) int { return strings.Compare(a.Name, b.Name) })
+	for core := 0; core < NumCores; core++ {
+		o.IdleRates[core] = d.CPU.IdleRate(core)
+	}
+	appendTaskReports(&o.Tasks, d)
 }
 
 // appendTaskReports appends one TaskReport per scheduler task of the
@@ -246,34 +220,4 @@ type TaskReport struct {
 	MissRate   float64
 	AvgLatency time.Duration
 	MaxLatency time.Duration
-}
-
-// Summary renders a human-readable digest of the run.
-func (r *Result) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "flight %v  attack=%v@%v\n", r.Cfg.Duration, r.Cfg.Attack.Kind, r.Cfg.Attack.Start)
-	if n := len(r.Members); n > 0 {
-		fmt.Fprintf(&b, "  fleet of %d drones\n", n)
-	}
-	if r.Crashed {
-		fmt.Fprintf(&b, "  CRASHED at %.1fs\n", r.CrashTime.Seconds())
-	} else {
-		fmt.Fprintf(&b, "  survived\n")
-	}
-	if r.Switched {
-		fmt.Fprintf(&b, "  Simplex switch at %.2fs (%s)\n", r.SwitchTime.Seconds(), r.SwitchRule)
-	}
-	fmt.Fprintf(&b, "  RMS err %.3fm  max dev %.3fm  max tilt %.1f°\n",
-		r.Metrics.RMSError, r.Metrics.MaxDeviation, telemetry.Degrees(r.Metrics.MaxTilt))
-	for i := range r.Members {
-		m := &r.Members[i]
-		state := "ok"
-		if m.Crashed {
-			state = fmt.Sprintf("CRASHED at %.1fs", m.CrashTime.Seconds())
-		} else if m.Switched {
-			state = fmt.Sprintf("switched at %.2fs (%s)", m.SwitchTime.Seconds(), m.SwitchRule)
-		}
-		fmt.Fprintf(&b, "  member %d (%s): %s  RMS err %.3fm\n", m.Member, m.Host, state, m.Metrics.RMSError)
-	}
-	return b.String()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -217,5 +218,73 @@ func TestFleetSplitStarvesFollowers(t *testing.T) {
 	tr := sys.Trace.String()
 	if !strings.Contains(tr, "fleet-split begins") || !strings.Contains(tr, "fleet-split heals") {
 		t.Error("trace does not record the partition window")
+	}
+}
+
+// TestFleetAggregation pins how a fleet Result's top-level Outcome is
+// made from its members' Outcomes: the earliest switch (and crash)
+// across members, garbage summed, violations concatenated in member
+// order, and the flight-shape fields taken from the leader. In
+// swarm-compromised a follower switches while the leader stays quiet;
+// in swarm-peer-flood the leader is the flood's victim.
+func TestFleetAggregation(t *testing.T) {
+	for _, tc := range []struct {
+		scenario string
+		switcher int
+	}{
+		{"swarm-compromised", 1},
+		{"swarm-peer-flood", 0},
+	} {
+		t.Run(tc.scenario, func(t *testing.T) {
+			sys, err := New(MustBuild(tc.scenario, Options{Seed: 7}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := sys.Run()
+			if len(res.Members) != 3 {
+				t.Fatalf("got %d member reports, want 3", len(res.Members))
+			}
+			if m := res.Members[tc.switcher]; !m.Switched || m.SwitchRule != monitor.RuleAttitude || m.GarbagePkts == 0 {
+				t.Fatalf("member %d: switched %v on %q with %d garbage packets, want an attitude-error switch under the flood",
+					tc.switcher, m.Switched, m.SwitchRule, m.GarbagePkts)
+			}
+			if tc.switcher != 0 && (res.Members[0].Switched || len(res.Members[0].Violations) != 0) {
+				t.Fatal("leader reacted; the aggregate would not be tested against a follower")
+			}
+
+			var want Outcome
+			for _, m := range res.Members {
+				if m.Crashed && (!want.Crashed || m.CrashTime < want.CrashTime) {
+					want.Crashed, want.CrashTime = true, m.CrashTime
+				}
+				if m.Switched && (!want.Switched || m.SwitchTime < want.SwitchTime) {
+					want.Switched, want.SwitchTime, want.SwitchRule = true, m.SwitchTime, m.SwitchRule
+				}
+				want.GarbagePkts += m.GarbagePkts
+				want.Violations = append(want.Violations, m.Violations...)
+			}
+			if res.Crashed != want.Crashed || res.CrashTime != want.CrashTime {
+				t.Errorf("crash = %v at %v, want the earliest member crash %v at %v",
+					res.Crashed, res.CrashTime, want.Crashed, want.CrashTime)
+			}
+			if res.Switched != want.Switched || res.SwitchTime != want.SwitchTime || res.SwitchRule != want.SwitchRule {
+				t.Errorf("switch = %v at %v (%q), want the earliest member switch %v at %v (%q)",
+					res.Switched, res.SwitchTime, res.SwitchRule, want.Switched, want.SwitchTime, want.SwitchRule)
+			}
+			if res.GarbagePkts != want.GarbagePkts {
+				t.Errorf("garbage = %d, want the member sum %d", res.GarbagePkts, want.GarbagePkts)
+			}
+			if !slices.Equal(res.Violations, want.Violations) {
+				t.Errorf("violations = %v, want the members' in member order %v", res.Violations, want.Violations)
+			}
+
+			lead := &res.Members[0]
+			if res.Metrics != lead.Metrics || res.MissionComplete != lead.MissionComplete || res.IdleRates != lead.IdleRates {
+				t.Error("metrics, mission or idle rates differ from the leader's")
+			}
+			if !slices.Equal(res.Streams, lead.Streams) || !slices.Equal(res.Tasks, lead.Tasks) {
+				t.Error("streams or tasks differ from the leader's")
+			}
+		})
 	}
 }

@@ -267,15 +267,6 @@ func TestAttackPlanCPUHogHarmless(t *testing.T) {
 	}
 }
 
-func TestResultSummaryRenders(t *testing.T) {
-	cfg := ScenarioBaseline()
-	cfg.Duration = 2 * time.Second
-	r := mustRun(t, cfg)
-	if s := r.Summary(); len(s) == 0 {
-		t.Fatal("empty summary")
-	}
-}
-
 func TestTraceRecordsAttackEvents(t *testing.T) {
 	r := mustRun(t, ScenarioKill())
 	found := false

@@ -395,7 +395,10 @@ type Result struct {
 }
 
 // MemberResult is one fleet member's own outcome within a swarm
-// Result.
+// Result. Apart from Member and Host its fields are Result's outcome
+// fields (crash, switch, violations, garbage, mission, metrics,
+// streams, idle rates, tasks), with the same names, tags and meaning,
+// each for this member alone.
 type MemberResult struct {
 	Member int    `json:"member"`
 	Host   string `json:"host"`
@@ -417,34 +420,34 @@ type MemberResult struct {
 	Tasks     []TaskReport `json:"tasks,omitempty"`
 }
 
-func fromMemberReport(m *core.MemberReport) MemberResult {
+// fromOutcome converts one vehicle's outcome into the public schema,
+// leaving Member and Host unset.
+func fromOutcome(o *core.Outcome) MemberResult {
 	out := MemberResult{
-		Member:          m.Member,
-		Host:            m.Host,
-		Crashed:         m.Crashed,
-		Switched:        m.Switched,
-		GarbagePkts:     m.GarbagePkts,
-		MissionComplete: m.MissionComplete,
-		Metrics:         fromMetrics(m.Metrics),
+		Crashed:         o.Crashed,
+		Switched:        o.Switched,
+		GarbagePkts:     o.GarbagePkts,
+		MissionComplete: o.MissionComplete,
+		Metrics:         fromMetrics(o.Metrics),
 	}
-	if m.Crashed {
-		out.CrashS = m.CrashTime.Seconds()
+	if o.Crashed {
+		out.CrashS = o.CrashTime.Seconds()
 	}
-	if m.Switched {
-		out.SwitchS = m.SwitchTime.Seconds()
-		out.SwitchRule = string(m.SwitchRule)
+	if o.Switched {
+		out.SwitchS = o.SwitchTime.Seconds()
+		out.SwitchRule = string(o.SwitchRule)
 	}
-	for _, v := range m.Violations {
+	for _, v := range o.Violations {
 		out.Violations = append(out.Violations, fromViolation(v))
 	}
-	for _, st := range m.Streams {
+	for _, st := range o.Streams {
 		out.Streams = append(out.Streams, StreamStat{
 			Name: st.Name, Port: st.Port, FrameSizeB: st.FrameSize, Packets: st.Packets,
 		})
 	}
-	out.IdleRates = make([]float64, len(m.IdleRates))
-	copy(out.IdleRates, m.IdleRates[:])
-	for _, t := range m.Tasks {
+	out.IdleRates = make([]float64, len(o.IdleRates))
+	copy(out.IdleRates, o.IdleRates[:])
+	for _, t := range o.Tasks {
 		out.Tasks = append(out.Tasks, TaskReport{
 			Name: t.Name, Core: t.Core, Priority: t.Priority,
 			Released: t.Released, Completed: t.Completed, Missed: t.Missed,
@@ -458,6 +461,7 @@ func fromMemberReport(m *core.MemberReport) MemberResult {
 
 // fromResult converts an internal run outcome into the public schema.
 func fromResult(cfg Config, res *core.Result) *Result {
+	o := fromOutcome(&res.Outcome)
 	r := &Result{
 		SchemaVersion: SchemaVersion,
 		Config:        cfg,
@@ -469,47 +473,28 @@ func fromResult(cfg Config, res *core.Result) *Result {
 			Member: res.Cfg.Attack.Member,
 			Target: res.Cfg.Attack.Target,
 		},
-		Crashed:         res.Crashed,
-		Switched:        res.Switched,
-		SwitchRule:      string(res.SwitchRule),
-		GarbagePkts:     res.GarbagePkts,
-		MissionComplete: res.MissionComplete,
-		Metrics:         fromMetrics(res.Metrics),
+		Crashed:         o.Crashed,
+		CrashS:          o.CrashS,
+		Switched:        o.Switched,
+		SwitchS:         o.SwitchS,
+		SwitchRule:      o.SwitchRule,
+		Violations:      o.Violations,
+		GarbagePkts:     o.GarbagePkts,
+		MissionComplete: o.MissionComplete,
+		Metrics:         o.Metrics,
 		AttackMetrics:   fromMetrics(res.AttackMetrics),
+		Streams:         o.Streams,
+		IdleRates:       o.IdleRates,
+		Tasks:           o.Tasks,
 	}
 	for _, sp := range res.Cfg.Faults.Specs {
 		r.Faults = append(r.Faults, fromFaultSpec(sp.WithDefaults()))
 	}
-	if !res.Switched {
-		r.SwitchRule = ""
-	}
-	if res.Crashed {
-		r.CrashS = res.CrashTime.Seconds()
-	}
-	if res.Switched {
-		r.SwitchS = res.SwitchTime.Seconds()
-	}
-	for _, v := range res.Violations {
-		r.Violations = append(r.Violations, fromViolation(v))
-	}
-	for _, st := range res.Streams {
-		r.Streams = append(r.Streams, StreamStat{
-			Name: st.Name, Port: st.Port, FrameSizeB: st.FrameSize, Packets: st.Packets,
-		})
-	}
-	r.IdleRates = make([]float64, len(res.IdleRates))
-	copy(r.IdleRates, res.IdleRates[:])
-	for _, t := range res.Tasks {
-		r.Tasks = append(r.Tasks, TaskReport{
-			Name: t.Name, Core: t.Core, Priority: t.Priority,
-			Released: t.Released, Completed: t.Completed, Missed: t.Missed,
-			MissRate:    t.MissRate,
-			AvgLatencyS: t.AvgLatency.Seconds(),
-			MaxLatencyS: t.MaxLatency.Seconds(),
-		})
-	}
 	for i := range res.Members {
-		r.Members = append(r.Members, fromMemberReport(&res.Members[i]))
+		m := &res.Members[i]
+		mr := fromOutcome(&m.Outcome)
+		mr.Member, mr.Host = m.Member, m.Host
+		r.Members = append(r.Members, mr)
 	}
 	if res.Log != nil {
 		for _, s := range res.Log.Samples() {
