@@ -16,8 +16,7 @@ type Percentiles struct {
 }
 
 // percentiles computes the summary with nearest-rank percentiles,
-// sorting vals in place (callers pass reusable scratch buffers).
-// Empty input returns the zero value.
+// sorting vals in place. Empty input returns the zero value.
 func percentiles(vals []float64) Percentiles {
 	if len(vals) == 0 {
 		return Percentiles{}
@@ -83,72 +82,42 @@ type Aggregate struct {
 	MaxDeviation Percentiles `json:"max_deviation_m"`
 }
 
-// pointAgg is the mergeable partial aggregate of one point within one
-// shard: outcome counts plus the raw metric populations percentile
-// reduction needs.
+// pointAgg is one point's running fold: the Aggregate's identity and
+// outcome counts, plus the raw metric populations the percentile
+// reduction needs. Run's emitter folds every record into its point's
+// pointAgg in index order and reduces each fold once, after the pool
+// drains.
 type pointAgg struct {
-	label      string
-	scenario   string
-	faults     string
-	runs       int
-	errors     int
-	panics     int
-	retried    int
-	crashes    int
-	failovers  int
-	ruleCounts map[string]int
-
+	Aggregate
 	switchS   []float64
 	missRates []float64
 	rms       []float64
 	maxDev    []float64
 }
 
-// Shard is one worker's private partial aggregation over the campaign
-// grid. Workers fold each completed run into their shard lock-free;
-// MergeShards reduces the shards to the final per-point Aggregates
-// once, after the pool drains. The merged result is identical to
-// AggregateRecords over the same records: counts are associative, and
-// the percentile reduction sorts its population, so the shard-order
-// concatenation of metric values cannot change it.
-type Shard struct {
-	points []pointAgg
-}
-
-// NewShard builds an empty shard covering the campaign's points.
-func NewShard(points []Point) *Shard {
-	s := &Shard{points: make([]pointAgg, len(points))}
-	for i, p := range points {
-		s.points[i].label = p.Label
-		s.points[i].scenario = p.Scenario
-	}
-	return s
-}
-
-// Add folds one run's record into the shard.
-func (s *Shard) Add(pi int, r *Record) {
-	a := &s.points[pi]
-	a.runs++
+// add folds one run's record into the point's aggregate.
+func (a *pointAgg) add(r *Record) {
+	a.Runs++
 	if r.Faults != "" {
-		a.faults = r.Faults
+		a.Faults = r.Faults
 	}
-	a.retried += r.Retries
+	a.Retried += r.Retries
 	if r.Err != "" {
-		a.errors++
+		a.Errors++
 		if r.Panicked {
-			a.panics++
+			a.Panics++
 		}
 		return
 	}
 	if r.Crashed {
-		a.crashes++
+		a.Crashes++
 	}
 	if r.Switched {
-		a.failovers++
-		if a.ruleCounts == nil {
-			a.ruleCounts = make(map[string]int)
+		a.Failovers++
+		if a.RuleCounts == nil {
+			a.RuleCounts = make(map[string]int)
 		}
-		a.ruleCounts[r.Rule]++
+		a.RuleCounts[r.Rule]++
 		a.switchS = append(a.switchS, r.SwitchS)
 	}
 	a.missRates = append(a.missRates, r.MissRate)
@@ -156,80 +125,20 @@ func (s *Shard) Add(pi int, r *Record) {
 	a.maxDev = append(a.maxDev, r.MaxDeviation)
 }
 
-// MergeShards reduces worker shards to the final per-point Aggregates,
-// in point order. All shards must cover the same point grid.
-func MergeShards(shards []*Shard) []Aggregate {
-	if len(shards) == 0 {
-		return nil
+// reduce turns the fold into the point's Aggregate: rates over the
+// runs that did not error, and percentiles over each population
+// (sorted in place).
+func (a *pointAgg) reduce() Aggregate {
+	agg := a.Aggregate
+	if ok := agg.Runs - agg.Errors; ok > 0 {
+		agg.CrashRate = float64(agg.Crashes) / float64(ok)
+		agg.FailoverRate = float64(agg.Failovers) / float64(ok)
 	}
-	npoints := len(shards[0].points)
-	out := make([]Aggregate, 0, npoints)
-	var switchTimes, missRates, rms, maxDev []float64
-	for pi := 0; pi < npoints; pi++ {
-		var agg Aggregate
-		switchTimes = switchTimes[:0]
-		missRates = missRates[:0]
-		rms = rms[:0]
-		maxDev = maxDev[:0]
-		for _, sh := range shards {
-			a := &sh.points[pi]
-			if agg.Point == "" {
-				agg.Point, agg.Scenario = a.label, a.scenario
-			}
-			if a.faults != "" {
-				agg.Faults = a.faults
-			}
-			agg.Runs += a.runs
-			agg.Errors += a.errors
-			agg.Panics += a.panics
-			agg.Retried += a.retried
-			agg.Crashes += a.crashes
-			agg.Failovers += a.failovers
-			for rule, n := range a.ruleCounts {
-				if agg.RuleCounts == nil {
-					agg.RuleCounts = make(map[string]int)
-				}
-				agg.RuleCounts[rule] += n
-			}
-			switchTimes = append(switchTimes, a.switchS...)
-			missRates = append(missRates, a.missRates...)
-			rms = append(rms, a.rms...)
-			maxDev = append(maxDev, a.maxDev...)
-		}
-		if ok := agg.Runs - agg.Errors; ok > 0 {
-			agg.CrashRate = float64(agg.Crashes) / float64(ok)
-			agg.FailoverRate = float64(agg.Failovers) / float64(ok)
-		}
-		agg.SwitchS = percentiles(switchTimes)
-		agg.MissRate = percentiles(missRates)
-		agg.RMSError = percentiles(rms)
-		agg.MaxDeviation = percentiles(maxDev)
-		out = append(out, agg)
-	}
-	return out
-}
-
-// Aggregate reduces records to one Aggregate per point, in the
-// records' point order — the replay-side reduction (records decoded
-// from CSV/JSON). It is a fold into a single Shard followed by the
-// same merge the live campaign uses, so there is exactly one
-// reduction implementation to keep correct: a field added to the
-// shard fold shows up in live and replayed aggregates alike.
-func AggregateRecords(records []Record) []Aggregate {
-	order := pointOrder(records)
-	idx := make(map[string]int, len(order))
-	sh := &Shard{points: make([]pointAgg, len(order))}
-	for i, label := range order {
-		idx[label] = i
-		sh.points[i].label = label
-	}
-	for i := range records {
-		r := &records[i]
-		pi := idx[r.Point]
-		sh.points[pi].scenario = r.Scenario
-		sh.Add(pi, r)
-	}
-	return MergeShards([]*Shard{sh})
+	agg.SwitchS = percentiles(a.switchS)
+	agg.MissRate = percentiles(a.missRates)
+	agg.RMSError = percentiles(a.rms)
+	agg.MaxDeviation = percentiles(a.maxDev)
+	return agg
 }
 
 // Table renders aggregates as an aligned text table for terminals.

@@ -94,15 +94,14 @@ type Spec struct {
 	// campaigns leave it nil and pay only a recover() frame.
 	Chaos func(point, run, attempt int) error
 
-	// Stream, when non-nil, receives every Record exactly once, from a
-	// single emitter goroutine off the workers' hot path — live
-	// CSV/JSON emit without a post-pass. Records are delivered in
-	// index order (point-major, then run) regardless of worker or fork
-	// completion order, so a streamed records CSV is byte-identical to
-	// the post-hoc WriteRecordsCSV output. The emitter holds
-	// out-of-order completions in a reorder buffer bounded by the
-	// worker pool's dispatch skew (≈ workers × chunk cells), not by
-	// the campaign size.
+	// Stream, when non-nil, receives every Record exactly once, in
+	// index order (point-major, then run), from Run's single emitter
+	// goroutine off the workers' hot path: live CSV/JSON emit without
+	// a post-pass. The emitter folds each record into its point's
+	// aggregate just before the call, so a streamed records CSV is
+	// byte-identical to the post-hoc WriteRecordsCSV output whatever
+	// the worker or fork completion order. Cells that a cancellation
+	// left unrun stream too, as error records.
 	Stream func(Record)
 }
 
@@ -175,11 +174,11 @@ func DeriveSeed(base uint64, point, run int) uint64 {
 // output; cells that never ran (or were interrupted) carry a non-empty
 // Err.
 //
-// Aggregation is sharded: each worker folds its completed runs into a
-// private partial aggregate as it goes, and the shards are merged once
-// after the pool drains — no post-pass over the record population and
-// no cross-worker synchronization on the hot path. The merged
-// aggregates are identical to AggregateRecords over the same records.
+// Every record takes one path: a completed cell sends its index to a
+// single emitter goroutine, which takes the records in index order,
+// folds each into its point's aggregate and then hands it to
+// spec.Stream. The aggregates are reduced once, in point order, after
+// the emitter drains.
 func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	var stats Stats
 	// The planner sizes the spec and checks every cell first, so an
@@ -200,54 +199,6 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	}
 	if workers > total {
 		workers = total
-	}
-
-	// Optional streaming emit: a single consumer goroutine fed by a
-	// bounded channel. The buffer absorbs bursts so workers virtually
-	// never wait on the observer; only an observer persistently slower
-	// than the whole worker pool backpressures it (bounding memory at
-	// O(buffer), not O(total records) — a million-run campaign must
-	// not allocate its record population twice up front). The emitter
-	// re-sequences completions into index order before invoking the
-	// callback, holding early arrivals in a buffer bounded by the
-	// pool's dispatch skew.
-	var streamCh chan indexedRecord
-	var streamWG sync.WaitGroup
-	if spec.Stream != nil {
-		streamCh = make(chan indexedRecord, min(total, 8192))
-		streamWG.Add(1)
-		go func() {
-			defer streamWG.Done()
-			pending := make(map[int]Record)
-			next := 0
-			for ir := range streamCh {
-				if ir.idx != next {
-					pending[ir.idx] = ir.rec
-					continue
-				}
-				spec.Stream(ir.rec)
-				next++
-				for {
-					r, ok := pending[next]
-					if !ok {
-						break
-					}
-					delete(pending, next)
-					spec.Stream(r)
-					next++
-				}
-			}
-			// Every index is sent exactly once, so nothing remains;
-			// the guard keeps a future bookkeeping bug from hanging
-			// the campaign instead of surfacing in the record set.
-			for next < total && len(pending) > 0 {
-				if r, ok := pending[next]; ok {
-					spec.Stream(r)
-					delete(pending, next)
-				}
-				next++
-			}
-		}()
 	}
 
 	// Work is dispatched as contiguous per-group run ranges rather
@@ -282,31 +233,46 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	}
 
 	// One flat preallocated record array shared by every worker: each
-	// run writes its own index, so collection is allocation- and
-	// synchronization-free regardless of completion order.
+	// run writes its own index and then sends that index to the
+	// emitter, whose receive orders the write before its read. The
+	// buffer absorbs bursts so workers virtually never wait on the
+	// emitter; only an observer persistently slower than the whole
+	// pool backpressures it.
 	records := make([]Record, total)
-	shards := make([]*Shard, workers)
+	folds := make([]pointAgg, len(spec.Points))
+	for pi, p := range spec.Points {
+		folds[pi].Point, folds[pi].Scenario = p.Label, p.Scenario
+	}
+	done := make(chan int, min(total, 8192))
+	emitted := make(chan struct{})
+	go func() {
+		defer close(emitted)
+		ready := make([]bool, total)
+		next := 0
+		for idx := range done {
+			ready[idx] = true
+			for ; next < total && ready[next]; next++ {
+				folds[next/spec.Runs].add(&records[next])
+				if spec.Stream != nil {
+					spec.Stream(records[next])
+				}
+			}
+		}
+	}()
+
 	workerStats := make([]Stats, workers)
 	jobs := make(chan chunk)
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
-		shards[wi] = NewShard(spec.Points)
 		wg.Add(1)
-		go func(wi int, shard *Shard) {
+		go func(wi int) {
 			defer wg.Done()
 			w := worker{spec: spec, plan: plan, gi: -1}
-			emit := func(idx int) {
-				pi := idx / spec.Runs
-				shard.Add(pi, &records[idx])
-				if streamCh != nil {
-					streamCh <- indexedRecord{idx, records[idx]}
-				}
-			}
 			for c := range jobs {
-				w.runChunk(ctx, c.gi, c.lo, c.hi, records, emit)
+				w.runChunk(ctx, c.gi, c.lo, c.hi, records, done)
 			}
 			workerStats[wi] = w.stats
-		}(wi, shards[wi])
+		}(wi)
 	}
 	dispatchedAll := true
 	for _, c := range chunks {
@@ -337,20 +303,17 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 		// than by an index watermark.
 		w := worker{spec: spec, plan: plan}
 		for idx := range records {
-			if records[idx].Point != "" {
-				continue
-			}
-			pi := idx / spec.Runs
-			records[idx] = w.errRecord(pi, idx%spec.Runs, ctx.Err())
-			shards[0].Add(pi, &records[idx])
-			if streamCh != nil {
-				streamCh <- indexedRecord{idx, records[idx]}
+			if records[idx].Point == "" {
+				records[idx] = w.errRecord(idx/spec.Runs, idx%spec.Runs, ctx.Err())
+				done <- idx
 			}
 		}
 	}
-	if streamCh != nil {
-		close(streamCh)
-		streamWG.Wait()
+	close(done)
+	<-emitted
+	aggs := make([]Aggregate, len(folds))
+	for pi := range folds {
+		aggs[pi] = folds[pi].reduce()
 	}
 	for _, ws := range workerStats {
 		stats.add(ws)
@@ -358,14 +321,7 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	if demanded := stats.TicksFlown + stats.TicksSaved; demanded > 0 {
 		stats.PrefixShareRatio = float64(stats.TicksSaved) / float64(demanded)
 	}
-	return records, MergeShards(shards), stats, ctx.Err()
-}
-
-// indexedRecord carries a record and its flat index to the stream
-// emitter, which re-sequences completions into index order.
-type indexedRecord struct {
-	idx int
-	rec Record
+	return records, aggs, stats, ctx.Err()
 }
 
 // buildPoint is the one per-cell check: it builds and validates the
@@ -422,11 +378,11 @@ type warm struct {
 
 // runChunk executes runs [lo, hi) of group gi — every member point at
 // every run index in the range — writing each cell into
-// records[pi*Runs+ri] and calling emit(idx) as it completes. A group
+// records[pi*Runs+ri] and calling done <- idx as it completes. A group
 // qualified for prefix sharing (and not under ColdStart) flies the
 // shared prefix once per run index and forks the members from a
 // snapshot; every other group flies its members as full flights.
-func (w *worker) runChunk(ctx context.Context, gi, lo, hi int, records []Record, emit func(int)) {
+func (w *worker) runChunk(ctx context.Context, gi, lo, hi int, records []Record, done chan<- int) {
 	if w.gi != gi {
 		w.gi, w.cache = gi, nil
 	}
@@ -437,9 +393,9 @@ func (w *worker) runChunk(ctx context.Context, gi, lo, hi int, records []Record,
 		// again in this chunk.
 		again := ri+1 < hi && !w.spec.ColdStart
 		if fork && ctx.Err() == nil {
-			w.runForkIndex(ctx, g, ri, again, records, emit)
+			w.runForkIndex(ctx, g, ri, again, records, done)
 		} else {
-			w.fullFlights(ctx, g.members, ri, again, records, emit)
+			w.fullFlights(ctx, g.members, ri, again, records, done)
 		}
 	}
 }
@@ -447,7 +403,7 @@ func (w *worker) runChunk(ctx context.Context, gi, lo, hi int, records []Record,
 // fullFlights flies points pis at run index ri as full flights, each
 // one a protected, retried cell (runCell). It is the path of every
 // unforked group and the fork path's one degrade path.
-func (w *worker) fullFlights(ctx context.Context, pis []int, ri int, again bool, records []Record, emit func(int)) {
+func (w *worker) fullFlights(ctx context.Context, pis []int, ri int, again bool, records []Record, done chan<- int) {
 	for _, pi := range pis {
 		idx := pi*w.spec.Runs + ri
 		if err := ctx.Err(); err != nil {
@@ -455,7 +411,7 @@ func (w *worker) fullFlights(ctx context.Context, pis []int, ri int, again bool,
 		} else {
 			records[idx] = w.runCell(ctx, pi, ri, again)
 		}
-		emit(idx)
+		done <- idx
 	}
 }
 
@@ -470,7 +426,7 @@ func (w *worker) fullFlights(ctx context.Context, pis []int, ri int, again bool,
 // during the benign hover) — the other members fly full flights, so
 // one poisoned (scenario, seed) point cannot sink its group, let alone
 // the campaign. Records stay byte-identical to cold runs either way.
-func (w *worker) runForkIndex(ctx context.Context, g *forkGroup, ri int, again bool, records []Record, emit func(int)) {
+func (w *worker) runForkIndex(ctx context.Context, g *forkGroup, ri int, again bool, records []Record, done chan<- int) {
 	leadPI := g.leader()
 	forked := false
 	var rec Record
@@ -492,9 +448,9 @@ func (w *worker) runForkIndex(ctx context.Context, g *forkGroup, ri int, again b
 	})
 	lidx := leadPI*w.spec.Runs + ri
 	records[lidx] = w.settle(ctx, leadPI, ri, rec, err, panicked, stack)
-	emit(lidx)
+	done <- lidx
 	if !forked {
-		w.fullFlights(ctx, g.members[1:], ri, again, records, emit)
+		w.fullFlights(ctx, g.members[1:], ri, again, records, done)
 		return
 	}
 	for _, pi := range g.members[1:] {
@@ -509,7 +465,7 @@ func (w *worker) runForkIndex(ctx context.Context, g *forkGroup, ri int, again b
 		})
 		idx := pi*w.spec.Runs + ri
 		records[idx] = w.settle(ctx, pi, ri, rec, err, panicked, stack)
-		emit(idx)
+		done <- idx
 	}
 }
 
@@ -773,18 +729,4 @@ func cloneParams(m map[string]float64) map[string]float64 {
 		c[k] = v
 	}
 	return c
-}
-
-// pointOrder returns the distinct point labels in first-seen order
-// (records arrive grouped by point already).
-func pointOrder(records []Record) []string {
-	var order []string
-	seen := make(map[string]bool)
-	for _, r := range records {
-		if !seen[r.Point] {
-			seen[r.Point] = true
-			order = append(order, r.Point)
-		}
-	}
-	return order
 }

@@ -28,11 +28,11 @@ func shortSpec() Spec {
 // output regardless of worker scheduling.
 func TestCampaignDeterministicUnderParallelism(t *testing.T) {
 	emit := func() []byte {
-		records, _, _, err := Run(context.Background(), shortSpec())
+		records, aggs, _, err := Run(context.Background(), shortSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := json.Marshal([]any{records, AggregateRecords(records)})
+		out, err := json.Marshal([]any{records, aggs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,6 +250,17 @@ func TestSize(t *testing.T) {
 	}
 }
 
+// fold is the post-pass reading of Run's emitter fold: one point's
+// records folded through pointAgg and reduced.
+func fold(records []Record) Aggregate {
+	var a pointAgg
+	for i := range records {
+		a.Point, a.Scenario = records[i].Point, records[i].Scenario
+		a.add(&records[i])
+	}
+	return a.reduce()
+}
+
 func TestAggregateRecords(t *testing.T) {
 	records := []Record{
 		{Point: "a", Scenario: "s", Run: 0, Crashed: true, CrashS: 12, MissRate: 0.5, MaxDeviation: 3},
@@ -257,7 +268,7 @@ func TestAggregateRecords(t *testing.T) {
 		{Point: "a", Scenario: "s", Run: 2, Err: "boom"},
 		{Point: "b", Scenario: "s", Run: 0, MissRate: 0.2},
 	}
-	aggs := AggregateRecords(records)
+	aggs := []Aggregate{fold(records[:3]), fold(records[3:])}
 	if len(aggs) != 2 || aggs[0].Point != "a" || aggs[1].Point != "b" {
 		t.Fatalf("aggs = %+v", aggs)
 	}
@@ -303,7 +314,7 @@ func TestEmitters(t *testing.T) {
 		{Point: "a", Scenario: "s", Run: 0, Seed: 7, Switched: true, SwitchS: 8.5, Rule: "r", RMSError: 0.1},
 		{Point: "a", Scenario: "s", Run: 1, Seed: 8, Crashed: true, CrashS: 2},
 	}
-	aggs := AggregateRecords(records)
+	aggs := []Aggregate{fold(records)}
 
 	var csvBuf bytes.Buffer
 	if err := WriteRecordsCSV(&csvBuf, records); err != nil {

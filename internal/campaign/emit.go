@@ -78,9 +78,9 @@ func WriteAggregatesCSV(w io.Writer, aggs []Aggregate) error {
 // NewRecordStreamer writes the records-CSV header to w immediately
 // and returns a Spec.Stream callback that appends one flushed row per
 // completed run — live campaign output for `tail -f` style consumers.
-// Rows arrive in completion order (each row names its point and run
-// index); the post-hoc WriteRecordsCSV emits the same rows in index
-// order.
+// Rows arrive in index order (point-major, then run), the order the
+// post-hoc WriteRecordsCSV emits them in, so the two files are
+// byte-identical.
 //
 // The stream callback cannot return an error (it runs on the
 // campaign's emitter goroutine), so write failures are sticky: call

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"strconv"
@@ -79,20 +80,23 @@ func TestWarmColdEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedAggregationMatchesPostPass pins the merged worker shards
-// to the replay-side reduction over the same records: the two
-// aggregation paths must stay interchangeable.
-func TestShardedAggregationMatchesPostPass(t *testing.T) {
+// TestEmitterAggregationMatchesPostPass pins the emitter's live fold
+// to a post-pass fold over the returned records: the emitter must fold
+// every record exactly once, in its final form.
+func TestEmitterAggregationMatchesPostPass(t *testing.T) {
 	spec := warmColdSpec(t)
 	records, aggs, _, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := AggregateRecords(records)
+	replay := make([]Aggregate, len(spec.Points))
+	for pi := range replay {
+		replay[pi] = fold(records[pi*spec.Runs : (pi+1)*spec.Runs])
+	}
 	a, _ := json.Marshal(aggs)
 	b, _ := json.Marshal(replay)
 	if string(a) != string(b) {
-		t.Fatalf("sharded aggregates differ from AggregateRecords:\n shard: %s\n replay: %s", a, b)
+		t.Fatalf("emitter aggregates differ from the post-pass fold:\n emitter: %s\n replay:  %s", a, b)
 	}
 }
 
@@ -121,5 +125,56 @@ func TestStreamDeliversEveryRecordOnce(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("cell %s streamed %d times", key, n)
 		}
+	}
+}
+
+// TestStreamCancelMidRun cancels a forking campaign from its own
+// observer on the first record. Every cell must still stream exactly
+// once, in index order, equal to the returned records, and each
+// point's Errors must count its unfinished cells.
+func TestStreamCancelMidRun(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		t.Run("parallel="+strconv.Itoa(par), func(t *testing.T) {
+			spec := forkSpec("udpflood", 4)
+			spec.Duration = 10 * time.Second
+			spec.Parallel = par
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var streamed []Record // read only after Run returns
+			spec.Stream = func(r Record) {
+				streamed = append(streamed, r)
+				cancel()
+			}
+			records, aggs, stats, err := Run(ctx, spec)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if stats.ForkGroups != 1 {
+				t.Fatalf("stats = %+v, want one forking group", stats)
+			}
+			if len(records) != len(spec.Points)*spec.Runs || !reflect.DeepEqual(streamed, records) {
+				t.Fatalf("streamed %d records, returned %d; want the same %d in index order",
+					len(streamed), len(records), len(spec.Points)*spec.Runs)
+			}
+			unfinished := 0
+			for pi, a := range aggs {
+				want := 0
+				for i, r := range records[pi*spec.Runs : (pi+1)*spec.Runs] {
+					if r.Point != spec.Points[pi].Label || r.Run != i {
+						t.Fatalf("record %d of point %d is %s run %d", i, pi, r.Point, r.Run)
+					}
+					if r.Err != "" {
+						want++
+					}
+				}
+				if a.Runs != spec.Runs || a.Errors != want {
+					t.Fatalf("point %d: %d runs, %d errors; want %d runs, %d errors", pi, a.Runs, a.Errors, spec.Runs, want)
+				}
+				unfinished += want
+			}
+			if unfinished == 0 {
+				t.Fatal("a cancel on the first record left no cell unfinished")
+			}
+		})
 	}
 }
