@@ -57,15 +57,6 @@ type Spec struct {
 	// (campaigns usually run shorter flights than the paper figures).
 	Duration time.Duration
 
-	// ColdStart disables warm-pool reuse: every run rebuilds its
-	// core.System from scratch instead of restoring a per-worker
-	// cached instance from its tick-0 snapshot. The two paths produce
-	// byte-identical records (the tick-0 restore is pinned to
-	// cold-build equivalence). No public surface sets it: it is the
-	// ground truth the equivalence tests compare the warm and fork
-	// paths against.
-	ColdStart bool
-
 	// PrefixShare enables checkpoint-fork prefix sharing: grid points
 	// whose swept knobs only act after attack/fault onset (attack
 	// parameters, fault severities, monitor thresholds) are grouped,
@@ -75,12 +66,9 @@ type Spec struct {
 	// group leader's seed for a given run index, so forked variants
 	// are comparable like-for-like — which is why the flag is part of
 	// the spec rather than an execution hint: records differ between
-	// modes by seeds, never by correctness. Combined with ColdStart,
-	// the grouped seeds are kept but every run is a full cold flight —
-	// the equivalence baseline TestForkEquivalence compares against.
-	// Non-qualifying groups (no onset inside the flight, or a sweep
-	// touching pre-onset behavior) transparently fall back to full
-	// flights.
+	// modes by seeds, never by correctness. Non-qualifying groups (no
+	// onset inside the flight, or a sweep touching pre-onset behavior)
+	// transparently fall back to full flights.
 	PrefixShare bool
 
 	// Chaos, when non-nil, is the test-only fault-injection hook run
@@ -107,6 +95,12 @@ type Spec struct {
 
 // Record is the outcome of one run. Times are in simulated seconds so
 // records serialize compactly and uniformly.
+//
+// A fleet run's Record describes its worst vehicle, field by field:
+// Crashed and Switched are true when any member crashed or switched,
+// with the earliest such time and its rule, and RMSError, MaxDeviation
+// and MissRate are the maximum over the members. A single drone is the
+// one-member fleet.
 type Record struct {
 	Point    string `json:"point"`
 	Scenario string `json:"scenario"`
@@ -325,8 +319,13 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 }
 
 // buildPoint is the one per-cell check: it builds and validates the
-// Config for one run of a point, covering all of core.New's checks.
+// Config for one run of a point, covering all of core.New's checks. It
+// refuses the seed key: a campaign derives every run's seed itself, and
+// a warm restore would overrule a seed the point's params set.
 func buildPoint(p Point, spec Spec, seed uint64) (core.Config, error) {
+	if _, ok := p.Params["seed"]; ok {
+		return core.Config{}, fmt.Errorf("campaign: point %q sets the seed key; a campaign derives each run's seed from its base seed", p.Label)
+	}
 	cfg, err := core.Build(p.Scenario, core.Options{
 		Seed:     seed,
 		Duration: spec.Duration,
@@ -378,20 +377,20 @@ type warm struct {
 
 // runChunk executes runs [lo, hi) of group gi — every member point at
 // every run index in the range — writing each cell into
-// records[pi*Runs+ri] and calling done <- idx as it completes. A group
-// qualified for prefix sharing (and not under ColdStart) flies the
-// shared prefix once per run index and forks the members from a
-// snapshot; every other group flies its members as full flights.
+// records[pi*Runs+ri] and sending idx on done as it completes. A group
+// qualified for prefix sharing flies the shared prefix once per run
+// index and forks the members from a snapshot; every other group flies
+// its members as full flights.
 func (w *worker) runChunk(ctx context.Context, gi, lo, hi int, records []Record, done chan<- int) {
 	if w.gi != gi {
 		w.gi, w.cache = gi, nil
 	}
 	g := &w.plan.groups[gi]
-	fork := g.forkTick > 0 && !w.spec.ColdStart
+	fork := g.forkTick > 0
 	for ri := lo; ri < hi; ri++ {
 		// A System is worth caching only if the worker flies its point
 		// again in this chunk.
-		again := ri+1 < hi && !w.spec.ColdStart
+		again := ri+1 < hi
 		if fork && ctx.Err() == nil {
 			w.runForkIndex(ctx, g, ri, again, records, done)
 		} else {
@@ -598,12 +597,15 @@ func (w *worker) fly(ctx context.Context, sys *core.System, pi, ri int, from int
 		w.stats.TicksSaved += from
 		w.stats.ForkedRuns++
 	}
-	w.fill(&rec, &w.res)
+	fill(&rec, &w.res)
 	return rec
 }
 
-// fill maps a Result onto a Record's metric fields.
-func (w *worker) fill(rec *Record, res *core.Result) {
+// fill maps a Result onto a Record's outcome fields by the fleet rule
+// (see Record): crash and switch from the Result's fleet aggregate,
+// RMSError, MaxDeviation and MissRate the maximum over the vehicles'
+// outcomes. A single drone is the one-vehicle case.
+func fill(rec *Record, res *core.Result) {
 	rec.Crashed = res.Crashed
 	if res.Crashed {
 		rec.CrashS = res.CrashTime.Seconds()
@@ -613,15 +615,21 @@ func (w *worker) fill(rec *Record, res *core.Result) {
 		rec.SwitchS = res.SwitchTime.Seconds()
 		rec.Rule = string(res.SwitchRule)
 	}
-	rec.RMSError = res.Metrics.RMSError
-	rec.MaxDeviation = res.Metrics.MaxDeviation
-	for _, t := range res.Tasks {
-		if t.Core == core.CoreContainer || strings.HasPrefix(t.Name, "attack-") ||
-			strings.HasPrefix(t.Name, "fault-") {
-			continue // attacker/fault scheduling health is not a defense metric
+	for i := range max(1, len(res.Members)) {
+		o := &res.Outcome
+		if len(res.Members) > 0 {
+			o = &res.Members[i].Outcome
 		}
-		if t.MissRate > rec.MissRate {
-			rec.MissRate = t.MissRate
+		rec.RMSError = max(rec.RMSError, o.Metrics.RMSError)
+		rec.MaxDeviation = max(rec.MaxDeviation, o.Metrics.MaxDeviation)
+		for _, t := range o.Tasks {
+			if t.Core == core.CoreContainer || strings.HasPrefix(t.Name, "attack-") ||
+				strings.HasPrefix(t.Name, "fault-") {
+				continue // attacker/fault scheduling health is not a defense metric
+			}
+			if t.MissRate > rec.MissRate {
+				rec.MissRate = t.MissRate
+			}
 		}
 	}
 }

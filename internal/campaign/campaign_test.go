@@ -136,6 +136,30 @@ func TestCampaignRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestCampaignRefusesSeedKey pins the refusal of the seed key in a
+// point's params, whether set on every cell or swept. A campaign
+// derives each run's seed itself; a cold build would fly the param's
+// seed while a warm restore flies the derived one, so the records
+// would depend on the worker count.
+func TestCampaignRefusesSeedKey(t *testing.T) {
+	for _, points := range [][]Point{
+		Expand("udpflood", map[string]float64{"seed": 7}, nil),
+		Expand("udpflood", nil, []Sweep{{Key: "seed", Values: []float64{1, 2}}}),
+	} {
+		for _, par := range []int{1, 4} {
+			spec := Spec{Points: points, Runs: 4, Parallel: par, Duration: 10 * time.Second}
+			records, _, _, err := Run(context.Background(), spec)
+			if err == nil || !strings.Contains(err.Error(), "seed key") || records != nil {
+				t.Fatalf("%s at parallel %d: err %v, %d records; want the seed key refused up front",
+					points[0].Label, par, err, len(records))
+			}
+			if verr := Validate(spec); verr == nil || verr.Error() != err.Error() {
+				t.Fatalf("%s: Validate says %v, Run says %v", points[0].Label, verr, err)
+			}
+		}
+	}
+}
+
 func TestDeriveSeed(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for p := 0; p < 8; p++ {

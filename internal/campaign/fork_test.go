@@ -31,11 +31,10 @@ func forkSpec(scenario string, runs int) Spec {
 
 // TestForkEquivalence is the prefix-sharing correctness gate: for every
 // registry scenario, a fork-mode campaign must be byte-identical to the
-// same spec flown as full cold flights (ColdStart+PrefixShare keeps the
-// grouped seed derivation but disables both the warm pool and the
-// forking, so it is the ground-truth baseline). Scenarios with a
-// scheduled onset must actually fork; scenarios without one (baseline,
-// mission) must fall back transparently. The gps-spoof-fallback case
+// same spec flown as fresh full flights at the grouped seeds (coldRun,
+// the ground-truth baseline). Scenarios with a scheduled onset must
+// actually fork; scenarios without one (baseline, mission) must fall
+// back transparently. The gps-spoof-fallback case
 // sweeps a receiving-interval threshold tight enough to trip during
 // the pre-onset hover: the planner groups its three points, the
 // runtime Snapshotable probe refuses every fork, and the members fly
@@ -81,12 +80,7 @@ func TestForkEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold := spec
-			cold.ColdStart = true
-			coldRec, coldAgg, coldStats, err := Run(context.Background(), cold)
-			if err != nil {
-				t.Fatal(err)
-			}
+			coldRec, coldAgg := coldRun(t, spec)
 			for i := range forkRec {
 				if !reflect.DeepEqual(forkRec[i], coldRec[i]) {
 					t.Fatalf("record %d differs between fork and cold paths:\n fork: %+v\n cold: %+v",
@@ -113,9 +107,6 @@ func TestForkEquivalence(t *testing.T) {
 			} else if stats.ForkedRuns != 0 || stats.TicksSaved != 0 {
 				t.Fatalf("unforkable group forked: %+v", stats)
 			}
-			if coldStats.ForkedRuns != 0 || coldStats.TicksSaved != 0 {
-				t.Fatalf("cold baseline forked: %+v", coldStats)
-			}
 		})
 	}
 }
@@ -128,13 +119,7 @@ func TestForkDeterminismAcrossParallel(t *testing.T) {
 	spec := warmColdSpec(t)
 	spec.PrefixShare = true
 
-	baseline := spec
-	baseline.ColdStart = true
-	baseline.Parallel = 2
-	want, _, _, err := Run(context.Background(), baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := coldRun(t, spec)
 	for _, parallel := range []int{1, 3, 8} {
 		s := spec
 		s.Parallel = parallel

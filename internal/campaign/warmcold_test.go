@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"containerdrone/internal/core"
 )
 
 // equivRuns is the seed count of an equivalence sample: def, unless
@@ -47,10 +49,51 @@ func warmColdSpec(t *testing.T) Spec {
 	}
 }
 
-// TestWarmColdEquivalence pins the warm-pool path to the cold-start
-// path: identical records and identical aggregates for the same spec,
-// run to run and mode to mode. This is the campaign-level reading of
-// the per-scenario TestResetEquivalence byte-identity.
+// coldRun is the equivalence tests' ground truth: every cell of spec
+// flown serially on a System built fresh for it (buildPoint, core.New,
+// ResumeContextInto, fill), at the plan's leader-derived seeds. It
+// never touches the worker's warm cache or its fork snapshot, so the
+// warm, fork and parallel paths are all compared with an engine that
+// shares no state between runs.
+func coldRun(t *testing.T, spec Spec) ([]Record, []Aggregate) {
+	t.Helper()
+	plan, err := planPrefixGroups(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := make([]Record, len(spec.Points)*spec.Runs)
+	aggs := make([]Aggregate, len(spec.Points))
+	for pi, p := range spec.Points {
+		for ri := range spec.Runs {
+			seed := DeriveSeed(spec.BaseSeed, plan.leaderOf[pi], ri)
+			cfg, err := buildPoint(p, spec, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res core.Result
+			if err := sys.ResumeContextInto(context.Background(), &res); err != nil {
+				t.Fatal(err)
+			}
+			rec := Record{Point: p.Label, Scenario: p.Scenario, Run: ri, Seed: seed}
+			if cfg.Faults.Active() {
+				rec.Faults = cfg.Faults.String()
+			}
+			fill(&rec, &res)
+			records[pi*spec.Runs+ri] = rec
+		}
+		aggs[pi] = fold(records[pi*spec.Runs : (pi+1)*spec.Runs])
+	}
+	return records, aggs
+}
+
+// TestWarmColdEquivalence pins the warm-pool path to fresh builds:
+// identical records and identical aggregates for the same spec. This
+// is the campaign-level reading of the per-scenario
+// TestResetEquivalence byte-identity.
 func TestWarmColdEquivalence(t *testing.T) {
 	spec := warmColdSpec(t)
 
@@ -58,12 +101,7 @@ func TestWarmColdEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := spec
-	cold.ColdStart = true
-	coldRec, coldAgg, _, err := Run(context.Background(), cold)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coldRec, coldAgg := coldRun(t, spec)
 	if !reflect.DeepEqual(warmRec, coldRec) {
 		for i := range warmRec {
 			if !reflect.DeepEqual(warmRec[i], coldRec[i]) {

@@ -382,3 +382,22 @@ func TestCampaignRejectsOverflowingGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignRefusesSeedParam checks that the SDK refuses a campaign
+// that fixes or sweeps the seed key: its runs' seeds are derived from
+// the base seed, which WithBaseSeed sets.
+func TestCampaignRefusesSeedParam(t *testing.T) {
+	for name, opt := range map[string]containerdrone.CampaignOption{
+		"base param": containerdrone.WithBaseParams(map[string]float64{"seed": 7}),
+		"sweep":      containerdrone.WithSweep("seed", 1, 2),
+	} {
+		c := containerdrone.NewCampaign("udpflood", opt, containerdrone.WithRuns(4),
+			containerdrone.WithParallel(4), containerdrone.WithRunDuration(10*time.Second))
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "seed key") {
+			t.Errorf("%s: Validate says %v; want the seed key refused", name, err)
+		}
+		if res, err := c.Run(context.Background()); err == nil || res != nil {
+			t.Errorf("%s: result %v, err %v; want an up-front error", name, res, err)
+		}
+	}
+}

@@ -15,7 +15,8 @@ import (
 // decoding plus Validate must never panic, every request it accepts
 // must stay within the engine's run ceiling, and must re-marshal to
 // bytes that decode to the same request and marshal identically again.
-// The overflow requests seed it as requests the ceiling refuses.
+// No accepted request sets the seed key, which campaigns derive. The
+// overflow requests seed it as requests the ceiling refuses.
 func FuzzCampaignRequest(f *testing.F) {
 	for _, req := range append([]CampaignRequest{
 		sampleRequest(),
@@ -30,6 +31,8 @@ func FuzzCampaignRequest(f *testing.F) {
 	}
 	for _, body := range []string{
 		`{"schema_version":1,"scenario":"udpflood"}`,
+		`{"schema_version":1,"scenario":"udpflood","params":{"seed":7}}`,
+		`{"schema_version":1,"scenario":"udpflood","sweeps":[{"key":"seed","values":[1,2]}]}`,
 		`{"schema_version":1,"scenario":"baseline","runz":4}`,
 		`{"schema_version":1,"scenario":"baseline"}{"extra":true}`,
 		`{"schema_version":2,"scenario":"baseline"}`,
@@ -58,6 +61,12 @@ func FuzzCampaignRequest(f *testing.F) {
 			if total < len(sw.Values) {
 				t.Fatalf("TotalRuns %d below a sweep of %d values", total, len(sw.Values))
 			}
+			if sw.Key == "seed" {
+				t.Fatalf("accepted a sweep of the seed key: %+v", req)
+			}
+		}
+		if _, ok := req.Params["seed"]; ok {
+			t.Fatalf("accepted the seed key in params: %+v", req.Params)
 		}
 		first, err := json.Marshal(req)
 		if err != nil {

@@ -125,11 +125,16 @@ func verdict(res *containerdrone.CampaignResult, runErr error, canceled bool) (s
 
 // publish moves the job to its terminal state and releases waiters.
 // It is the last step of Server.settle: everything else an observer
-// can read about the settled job is already written.
+// can read about the settled job is already written. The campaign
+// streams every cell exactly once, in index order, so the streamed
+// log equals the result's records and a settled job keeps one copy.
 func (j *job) publish(res *containerdrone.CampaignResult, status, msg string, partial bool) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.result = res
+	if res != nil {
+		j.records = res.Records
+	}
 	j.status = status
 	j.err = msg
 	j.partial = partial

@@ -273,6 +273,10 @@ func TestValidateCatchesBadRequests(t *testing.T) {
 	}{
 		{"unknown scenario", func(r *CampaignRequest) { r.Scenario = "no-such-scenario" }, "scenario"},
 		{"unknown param", func(r *CampaignRequest) { r.Params = map[string]float64{"bogus.key": 1} }, "bogus.key"},
+		{"seed param", func(r *CampaignRequest) { r.Params = map[string]float64{"seed": 7} }, "seed key"},
+		{"seed sweep", func(r *CampaignRequest) {
+			r.Sweeps = []containerdrone.Sweep{{Key: "seed", Values: []float64{1, 2}}}
+		}, "seed key"},
 		{"unknown sweep key", func(r *CampaignRequest) {
 			r.Sweeps = []containerdrone.Sweep{{Key: "bogus.sweep", Values: []float64{1}}}
 		}, "bogus.sweep"},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -92,15 +93,17 @@ func TestStreamRecordsSSE(t *testing.T) {
 	if st.Status != StatusDone || st.Result == nil {
 		t.Fatalf("done status %+v", st)
 	}
-	// A late subscriber replays the full history identically.
+	// A late subscriber to the settled job replays exactly the
+	// result's records, which are the live stream's.
 	var replay []containerdrone.Record
 	if _, err := cl.StreamRecords(t.Context(), sub.JobID, func(r containerdrone.Record) {
 		replay = append(replay, r)
 	}); err != nil {
 		t.Fatalf("replay stream: %v", err)
 	}
-	if len(replay) != len(streamed) {
-		t.Fatalf("replay %d records, want %d", len(replay), len(streamed))
+	if !reflect.DeepEqual(replay, st.Result.Records) || !reflect.DeepEqual(streamed, st.Result.Records) {
+		t.Fatalf("live stream (%d) and late replay (%d) differ from the result's %d records",
+			len(streamed), len(replay), len(st.Result.Records))
 	}
 }
 
@@ -119,6 +122,9 @@ func TestBadRequestsAre400(t *testing.T) {
 	cases := []badCase{
 		{CampaignRequest{Scenario: "no-such-scenario"}, "scenario"},
 		{CampaignRequest{Scenario: "baseline", Params: map[string]float64{"bogus": 1}}, "bogus"},
+		{CampaignRequest{Scenario: "udpflood", Params: map[string]float64{"seed": 7}}, "seed key"},
+		{CampaignRequest{Scenario: "udpflood",
+			Sweeps: []containerdrone.Sweep{{Key: "seed", Values: []float64{1, 2}}}}, "seed key"},
 		{CampaignRequest{Scenario: "baseline", Runs: 100}, "caps jobs at 10"},
 		{CampaignRequest{Scenario: "gps-spoof",
 			Sweeps: []containerdrone.Sweep{{Key: "bus.capacity", Values: []float64{2e9, 0}}}}, "bus capacity"},
