@@ -1,8 +1,9 @@
 // Command campaignd serves containerdrone campaigns over HTTP: a
 // long-running, multi-tenant simulation backend. Clients POST
 // versioned JSON campaign requests; campaignd queues them onto a
-// bounded queue feeding a fleet of persistent warm workers and
-// streams records back over SSE plus aggregates over plain JSON.
+// bounded queue feeding a fleet of persistent workers, each job warm
+// across its own runs, and streams records back over SSE plus
+// aggregates over plain JSON.
 //
 //	campaignd -addr :8080 -workers 4 -queue 128
 //	campaignd -quota-rate 5 -quota-burst 10 -max-in-flight 4

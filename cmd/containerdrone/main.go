@@ -48,12 +48,6 @@ func main() {
 		aggCSV   = flag.String("agg-csv", "", "campaign: write per-point aggregate CSV to this path")
 		jsonPath = flag.String("json", "", "campaign: write full report JSON to this path")
 
-		// Legacy single-run conveniences (aliases for -set keys).
-		memguard = flag.Bool("memguard", true, "alias for -set memguard.enabled=0/1")
-		monitorF = flag.Bool("monitor", true, "alias for -set monitor.enabled=0/1")
-		iptables = flag.Float64("iptables", 8000, "alias for -set iptables.rate=N (0 = off)")
-		attackAt = flag.Duration("attack-at", -1, "alias for -set attack.start=N")
-
 		csvPath = flag.String("csv", "", "single run: write trajectory CSV to this path")
 		bbPath  = flag.String("blackbox", "", "single run: write binary flight recording to this path")
 		replay  = flag.String("replay", "", "analyze an existing blackbox recording instead of flying")
@@ -80,8 +74,6 @@ func main() {
 	ctx, stop := cliutil.SignalContext(context.Background())
 	defer stop()
 
-	// Fold the legacy aliases into the params map, but only when the
-	// flag was given: scenario presets win otherwise.
 	params := make(map[string]float64)
 	for _, kv := range sets {
 		key, val, ok := strings.Cut(kv, "=")
@@ -94,18 +86,6 @@ func main() {
 		}
 		params[strings.TrimSpace(key)] = v
 	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "memguard":
-			params["memguard.enabled"] = b2f(*memguard)
-		case "monitor":
-			params["monitor.enabled"] = b2f(*monitorF)
-		case "iptables":
-			params["iptables.rate"] = *iptables
-		case "attack-at":
-			params["attack.start"] = attackAt.Seconds()
-		}
-	})
 
 	parsed, err := cliutil.ParseSweeps(sweeps)
 	if err != nil {
@@ -123,13 +103,6 @@ func main() {
 		return
 	}
 	runSingle(ctx, *scenario, params, *seed, *duration, *csvPath, *bbPath, *trace)
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func listScenarios() {

@@ -1,17 +1,15 @@
 // Command experiments regenerates every table and figure of the paper
 // from the simulation through the public SDK, printing paper-style
 // rows and optionally writing per-figure trajectory CSVs. The
-// per-figure flags are thin aliases for scenario-registry names;
-// arbitrary registered scenarios and parallel Monte-Carlo campaigns
-// run through the same path.
+// per-figure flags are thin aliases for scenario-registry names, and
+// -scenario prints the same figure-style report for any registered
+// scenario (containerdrone -scenario list names them; containerdrone
+// also runs campaigns).
 //
 //	experiments -all
 //	experiments -table1 -table2
 //	experiments -fig4 -fig5 -csv-dir results/
-//	experiments -list
 //	experiments -scenario mission-kill
-//	experiments -scenario memdos -runs 32 -parallel 8
-//	experiments -scenario udpflood -runs 16 -sweep attack.rate=2000,8000,32000
 package main
 
 import (
@@ -49,31 +47,19 @@ func main() {
 		all    = flag.Bool("all", false, "run everything")
 		table1 = flag.Bool("table1", false, "Table I: HCE↔CCE data streams")
 		table2 = flag.Bool("table2", false, "Table II: system overhead comparison")
-		list   = flag.Bool("list", false, "list registered scenarios and exit")
 		csvDir = flag.String("csv-dir", "", "write per-figure trajectory CSVs into this directory")
 
 		faults   = flag.Bool("faults", false, "fault matrix: run every fault scenario (monitored and unmonitored) and tabulate detection/outcome")
 		swarm    = flag.Bool("swarm", false, "swarm matrix: run every multi-drone scenario and tabulate per-member detection/outcome")
-		scenario = flag.String("scenario", "", "run one registered scenario (see -list)")
-		seed     = flag.Uint64("seed", 1, "simulation seed / campaign base seed")
-		duration = flag.Duration("duration", 0, "flight length override (default: scenario preset)")
-		runs     = flag.Int("runs", 1, "campaign: seeds per point (>1 or -sweep enables campaign mode)")
-		parallel = flag.Int("parallel", 0, "campaign: workers (0 = GOMAXPROCS)")
-		sweeps   cliutil.StringList
+		scenario = flag.String("scenario", "", "fly one registered scenario (containerdrone -scenario list names them)")
+		seed     = flag.Uint64("seed", 1, "simulation seed")
+		duration = flag.Duration("duration", 0, "-scenario: flight length override (default: scenario preset)")
 	)
 	figFlags := make([]*bool, len(figures))
 	for i, f := range figures {
 		figFlags[i] = flag.Bool(f.flagName, false, f.help)
 	}
-	flag.Var(&sweeps, "sweep", "campaign sweep key=v1,v2,... (repeatable)")
 	flag.Parse()
-
-	if *list {
-		for _, s := range containerdrone.Scenarios() {
-			fmt.Printf("  %-22s %s\n", s.Name, s.Desc)
-		}
-		return
-	}
 
 	// SIGINT/SIGTERM cancel the in-flight simulation; completed rows
 	// stay on stdout and the interrupted figure still flushes its
@@ -88,7 +74,7 @@ func main() {
 		if anyTableOrFig {
 			fatal(fmt.Errorf("-scenario cannot be combined with -all/-table*/-fig* (run them separately)"))
 		}
-		runScenario(ctx, *scenario, sweeps, *runs, *parallel, *seed, *duration, *csvDir)
+		runScenario(ctx, *scenario, *seed, *duration, *csvDir)
 		return
 	}
 	if *all {
@@ -231,39 +217,9 @@ func runQuiet(ctx context.Context, scenario string, seed uint64) *containerdrone
 	return res
 }
 
-// runScenario runs one registered scenario: a single reported flight,
-// or a campaign when -runs/-sweep ask for one.
-func runScenario(ctx context.Context, name string, sweepSpecs []string, runs, parallel int,
-	seed uint64, duration time.Duration, csvDir string) {
-	parsed, err := cliutil.ParseSweeps(sweepSpecs)
-	if err != nil {
-		fatal(err)
-	}
-	if runs > 1 || len(parsed) > 0 {
-		if csvDir != "" {
-			fatal(fmt.Errorf("-csv-dir writes single-flight trajectories; campaigns aggregate instead (drop -runs/-sweep or -csv-dir)"))
-		}
-		if runs < 1 {
-			runs = 1
-		}
-		c := containerdrone.NewCampaign(name,
-			containerdrone.WithSweeps(parsed...),
-			containerdrone.WithRuns(runs),
-			containerdrone.WithParallel(parallel),
-			containerdrone.WithBaseSeed(seed),
-			containerdrone.WithRunDuration(duration),
-		)
-		res, err := c.Run(ctx)
-		if res == nil {
-			fatal(err)
-		}
-		fmt.Print(res.Summary())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "campaign interrupted: %v — partial aggregates above\n", err)
-			os.Exit(1)
-		}
-		return
-	}
+// runScenario flies one registered scenario and prints its
+// figure-style report, titled with the scenario's description.
+func runScenario(ctx context.Context, name string, seed uint64, duration time.Duration, csvDir string) {
 	title := name
 	for _, s := range containerdrone.Scenarios() {
 		if s.Name == name {

@@ -92,6 +92,10 @@ func TestWorkerPanicExhaustedFailsWithErrorEvent(t *testing.T) {
 // serving and every job still completes — workers are replaced, not
 // lost, and the queue never wedges.
 func TestFleetSurvivesPanicStorm(t *testing.T) {
+	// A clock that advances 1 s per read refills the restart bucket
+	// as fast as the storm drains it, so the brake (tested separately)
+	// never sleeps.
+	var ticks atomic.Int64
 	svc, cl := newTestServer(t, Config{
 		Workers: 2,
 		ChaosHook: func(jobID string, attempt int) {
@@ -99,8 +103,7 @@ func TestFleetSurvivesPanicStorm(t *testing.T) {
 				panic("chaos: storm")
 			}
 		},
-		RestartRate:  1000, // keep the test fast; the brake is tested separately
-		RestartBurst: 1000,
+		now: func() time.Time { return time.Unix(ticks.Add(1), 0) },
 	})
 	const jobs = 6
 	ids := make([]string, jobs)

@@ -2,10 +2,10 @@
 // multi-tenant campaign server: campaignd. Clients POST versioned
 // JSON CampaignRequests; the server validates them, enqueues them onto
 // a bounded job queue feeding a fleet of persistent workers (each job
-// runs on the SDK's warm-pool campaign engine, so steady-state service
-// traffic allocates next to nothing per run and prefix-sharing forks
-// apply transparently), and streams per-run records back over
-// Server-Sent Events plus final aggregates over plain JSON.
+// runs on the SDK's warm-pool campaign engine, so warm reuse and
+// prefix-sharing forks apply across that job's runs; nothing warm
+// carries from one job to the next), and streams per-run records back
+// over Server-Sent Events plus final aggregates over plain JSON.
 //
 // The server survives heavy concurrent traffic by design rather than
 // by luck:
@@ -54,9 +54,9 @@
 //
 // The worker fleet is crash-only: a job that panics through the SDK
 // boundary retires its worker, a replacement spawns under a restart-
-// rate token bucket (Config.RestartRate/RestartBurst — the crash-loop
-// brake), and the job is re-queued up to Config.MaxJobRetries times
-// before settling as failed. Because a campaign is a pure function of
+// rate token bucket (restartBurst = 5 at once, then restartRate = 1
+// per second — the crash-loop brake), and the job is re-queued
+// maxJobRetries = 1 time before settling as failed. Because a campaign is a pure function of
 // (request, seed), a retried job re-emits a byte-identical record
 // stream, so SSE followers ride through the retry without duplicates
 // or gaps; followers of a job that exhausts its retries receive the

@@ -44,8 +44,8 @@ type CampaignRequest struct {
 	// negative spelling keeps the zero value on the SDK default (on).
 	NoPrefixShare bool `json:"no_prefix_share,omitempty"`
 	// Parallel caps the campaign's worker count inside its service
-	// worker slot; 0 means the server's per-job default. The server
-	// clamps it to its configured maximum.
+	// worker slot; 0 means the server's per-job count, which is also
+	// the most it grants.
 	Parallel int `json:"parallel,omitempty"`
 	// TimeoutS bounds the job's wall-clock run time, seconds; 0 means
 	// the server default. The server clamps it to its maximum. A job

@@ -26,13 +26,10 @@ type Config struct {
 	// full queue rejects with 429. Default 64.
 	QueueDepth int
 	// JobParallel is the campaign worker count given to each job
-	// (inside its service worker slot). Default 1: the service fleet,
-	// not the per-job pool, is the parallelism unit. Requests may ask
-	// for more via Parallel, clamped to MaxJobParallel.
+	// (inside its service worker slot), and the most a request's
+	// Parallel may ask for. Default 1: the service fleet, not the
+	// per-job pool, is the parallelism unit.
 	JobParallel int
-	// MaxJobParallel clamps CampaignRequest.Parallel. Default
-	// max(JobParallel, 1).
-	MaxJobParallel int
 
 	// QuotaRate is the per-tenant token-bucket refill in submissions
 	// per second; 0 disables rate quotas. QuotaBurst is the bucket
@@ -65,20 +62,6 @@ type Config struct {
 	// caller owns Close.
 	Journal *Journal
 
-	// MaxJobRetries is how many times a job whose worker panicked is
-	// re-queued before it settles as failed. Default 1 (the campaign
-	// engine already quarantines per-run panics, so a job-level panic
-	// recurring twice is structural, not transient); negative disables
-	// retries.
-	MaxJobRetries int
-
-	// RestartRate and RestartBurst shape the worker supervisor's
-	// restart token bucket: replacements for panicked workers are
-	// immediate up to the burst, then spaced at the rate. Defaults:
-	// 1/s, burst 5.
-	RestartRate  float64
-	RestartBurst int
-
 	// ChaosHook, when set, runs at the top of every job attempt with
 	// the job's ID and attempt number — the service-level fault
 	// injection point (campaignd -chaos-panic-job). A panic thrown
@@ -90,7 +73,7 @@ type Config struct {
 	// stacks). Default: discard.
 	Logf func(format string, args ...any)
 
-	// now overrides the quota clock in tests.
+	// now overrides the quota and restart-limiter clock in tests.
 	now func() time.Time
 }
 
@@ -103,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobParallel <= 0 {
 		c.JobParallel = 1
-	}
-	if c.MaxJobParallel <= 0 {
-		c.MaxJobParallel = c.JobParallel
 	}
 	if c.QuotaBurst <= 0 {
 		c.QuotaBurst = 1
@@ -121,17 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retention <= 0 {
 		c.Retention = 16384
-	}
-	if c.MaxJobRetries == 0 {
-		c.MaxJobRetries = 1
-	} else if c.MaxJobRetries < 0 {
-		c.MaxJobRetries = 0
-	}
-	if c.RestartRate <= 0 {
-		c.RestartRate = 1
-	}
-	if c.RestartBurst <= 0 {
-		c.RestartBurst = 5
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -183,7 +152,7 @@ func NewServer(cfg Config) *Server {
 		queue:      make(chan *job, cfg.QueueDepth+len(pending)),
 		metrics:    newMetrics(),
 		quotas:     newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst, cfg.MaxInFlightPerTenant, cfg.now),
-		restarts:   newRestartLimiter(cfg.RestartRate, cfg.RestartBurst, cfg.now),
+		restarts:   newRestartLimiter(restartRate, restartBurst, cfg.now),
 		journal:    cfg.Journal,
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -488,10 +457,7 @@ func (s *Server) runJob(j *job) {
 
 	parallel := s.cfg.JobParallel
 	if j.req.Parallel > 0 {
-		parallel = j.req.Parallel
-		if parallel > s.cfg.MaxJobParallel {
-			parallel = s.cfg.MaxJobParallel
-		}
+		parallel = min(j.req.Parallel, s.cfg.JobParallel)
 	}
 	res, err := j.req.campaign(containerdrone.WithParallel(parallel), containerdrone.WithRecordObserver(j.emit)).Run(ctx)
 	s.settle(j, res, err, errors.Is(err, context.Canceled))

@@ -15,9 +15,21 @@ import (
 // failed so its SSE followers get a terminal "error" event instead of
 // a hung stream.
 
+// The supervisor's fixed policy. A job whose worker panicked is
+// re-queued maxJobRetries times before it settles as failed: the
+// campaign engine already quarantines per-run panics, so a job-level
+// panic recurring twice is structural, not transient. Replacement
+// workers are granted restartBurst at once, then restartRate per
+// second.
+const (
+	maxJobRetries = 1
+	restartRate   = 1
+	restartBurst  = 5
+)
+
 // restartLimiter is the supervisor's token bucket: replacements for
 // panicked workers are granted immediately up to the burst, then
-// spaced out at the configured rate. A panic storm therefore degrades
+// spaced out at the given rate. A panic storm therefore degrades
 // the fleet gradually instead of spinning a hot crash loop.
 type restartLimiter struct {
 	mu     sync.Mutex
@@ -77,10 +89,10 @@ func (s *Server) startWorker(delay time.Duration) {
 }
 
 // workerLoop is one fleet member: it owns whatever campaign it is
-// running until that campaign reaches a terminal state. The SDK
-// campaign engine below it keeps per-worker warm Systems, so a worker
-// that sees a steady diet of same-scenario jobs stays allocation-free
-// at the simulation layer. The loop exits when the queue closes
+// running until that campaign reaches a terminal state. Each job runs
+// on a fresh campaign engine, whose warm Systems are reused across
+// that job's runs and dropped when it ends; no state carries from one
+// job to the next. The loop exits when the queue closes
 // (drain) or when a job panic retires the worker — its replacement is
 // already spawning under the restart limiter by the time it returns.
 func (s *Server) workerLoop() {
@@ -116,7 +128,7 @@ func (s *Server) runJobSafe(j *job) (ok bool) {
 // otherwise a terminal failed status, so followers of its record
 // stream receive the "error" event rather than waiting forever.
 func (s *Server) settlePanicked(j *job, cause any) {
-	if j.attempts < s.cfg.MaxJobRetries && j.ctx.Err() == nil && s.requeue(j) {
+	if j.attempts < maxJobRetries && j.ctx.Err() == nil && s.requeue(j) {
 		s.metrics.jobsRetried.Add(1)
 		return
 	}
