@@ -45,8 +45,9 @@ func WithRunDuration(d time.Duration) CampaignOption {
 	return func(c *Campaign) { c.spec.Duration = d }
 }
 
-// WithSweep adds one swept parameter; repeated sweeps expand to their
-// cartesian grid.
+// WithSweep adds one swept parameter; sweeps of distinct keys expand
+// to their cartesian grid. A campaign that sweeps a key twice, or
+// repeats a value within a sweep, is refused.
 func WithSweep(key string, values ...float64) CampaignOption {
 	return func(c *Campaign) { c.sweeps = append(c.sweeps, Sweep{Key: key, Values: values}) }
 }

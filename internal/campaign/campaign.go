@@ -669,7 +669,9 @@ const (
 
 // Size is the one sizing gate: points × Π len(sweep values) × runs,
 // computed without expanding anything. It refuses an empty grid or
-// sweep and a grid above either ceiling, and returns the run count
+// sweep, a grid above either ceiling and, checked last, a key swept
+// twice or a value repeated within a sweep, which would fly the same
+// cells twice under two labels or under one. It returns the run count
 // either way, saturated at math.MaxInt rather than wrapped.
 func Size(points int, sweeps []Sweep, runs int) (int, error) {
 	if points <= 0 || runs <= 0 {
@@ -687,6 +689,20 @@ func Size(points int, sweeps []Sweep, runs int) (int, error) {
 		return n, fmt.Errorf("campaign: grid of %d points exceeds the engine ceiling of %d", points, MaxPoints)
 	case n > MaxRuns:
 		return n, fmt.Errorf("campaign: grid of %d runs exceeds the engine ceiling of %d", n, MaxRuns)
+	}
+	keys := make(map[string]bool, len(sweeps))
+	for _, sw := range sweeps {
+		if keys[sw.Key] {
+			return n, fmt.Errorf("campaign: sweep key %q is repeated", sw.Key)
+		}
+		keys[sw.Key] = true
+		seen := make(map[float64]bool, len(sw.Values))
+		for _, v := range sw.Values {
+			if seen[v] {
+				return n, fmt.Errorf("campaign: sweep %q repeats the value %v", sw.Key, v)
+			}
+			seen[v] = true
+		}
 	}
 	return n, nil
 }

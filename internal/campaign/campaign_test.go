@@ -231,11 +231,13 @@ func TestExpandCartesian(t *testing.T) {
 }
 
 // TestSize pins the one sizing gate: points × values × runs, refused
-// for an empty sweep, a non-positive count or a grid above MaxPoints
-// or MaxRuns, and saturated rather than wrapped when refused for size.
+// for an empty sweep, a non-positive count, a grid above MaxPoints or
+// MaxRuns, and a repeated sweep key or value, and saturated rather
+// than wrapped when refused for size.
 func TestSize(t *testing.T) {
 	two := Sweep{Key: "wind", Values: []float64{0, 1}}
-	if n, err := Size(3, []Sweep{two, two}, 5); n != 60 || err != nil {
+	rate := Sweep{Key: "fault.rate", Values: []float64{0.5, 1}}
+	if n, err := Size(3, []Sweep{two, rate}, 5); n != 60 || err != nil {
 		t.Fatalf("3 points × 2 × 2 × 5 runs: %d, %v", n, err)
 	}
 	if n, err := Size(MaxPoints, nil, MaxRuns/MaxPoints); n != MaxRuns || err != nil {
@@ -255,10 +257,14 @@ func TestSize(t *testing.T) {
 	}{
 		{"one run past the ceiling", 1, nil, MaxRuns + 1, "runs exceeds", MaxRuns + 1},
 		{"one point past the ceiling", MaxPoints + 1, nil, 1, "points exceeds", MaxPoints + 1},
+		// wide repeats one sweep: the ceilings are checked before
+		// repeats, so these read as too big.
 		{"2^17 points of one run", 1, wide[:17], 1, "points exceeds", 1 << 17},
 		{"2^64 points", 1, wide, 1, "ceiling", math.MaxInt},
 		{"4 points × 2^62 runs", 4, nil, 1 << 62, "ceiling", math.MaxInt},
 		{"empty sweep", 1, []Sweep{two, {Key: "attack.rate"}}, 1, "attack.rate", 0},
+		{"repeated key", 1, []Sweep{rate, rate}, 2, `key "fault.rate" is repeated`, 8},
+		{"repeated value", 1, []Sweep{two, {Key: "fault.rate", Values: []float64{0.5, 0.5}}}, 2, "repeats the value 0.5", 8},
 		{"zero runs", 1, nil, 0, "is empty", 0},
 		{"no points", 0, nil, 1, "is empty", 0},
 	} {

@@ -401,3 +401,24 @@ func TestCampaignRefusesSeedParam(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignRefusesRepeatedSweeps checks that the SDK refuses a sweep
+// that repeats a value or a key: the repeated cells would fly the same
+// flights under one label twice, or under a label naming a value they
+// did not fly.
+func TestCampaignRefusesRepeatedSweeps(t *testing.T) {
+	for name, opts := range map[string][]containerdrone.CampaignOption{
+		"repeated value": {containerdrone.WithSweep("fault.rate", 0.5, 0.5)},
+		"repeated key": {containerdrone.WithSweep("fault.rate", 0.5, 1),
+			containerdrone.WithSweep("fault.rate", 0.5, 1)},
+	} {
+		c := containerdrone.NewCampaign("gps-spoof", append(opts, containerdrone.WithRuns(2),
+			containerdrone.WithRunDuration(12*time.Second))...)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "repeat") {
+			t.Errorf("%s: Validate says %v; want the repeat refused", name, err)
+		}
+		if res, err := c.Run(context.Background()); err == nil || res != nil {
+			t.Errorf("%s: result %v, err %v; want an up-front error", name, res, err)
+		}
+	}
+}

@@ -33,6 +33,8 @@ func FuzzCampaignRequest(f *testing.F) {
 		`{"schema_version":1,"scenario":"udpflood"}`,
 		`{"schema_version":1,"scenario":"udpflood","params":{"seed":7}}`,
 		`{"schema_version":1,"scenario":"udpflood","sweeps":[{"key":"seed","values":[1,2]}]}`,
+		`{"schema_version":1,"scenario":"gps-spoof","sweeps":[{"key":"fault.rate","values":[0.5,0.5]}]}`,
+		`{"schema_version":1,"scenario":"gps-spoof","sweeps":[{"key":"fault.rate","values":[0.5,1]},{"key":"fault.rate","values":[0.5,1]}]}`,
 		`{"schema_version":1,"scenario":"baseline","runz":4}`,
 		`{"schema_version":1,"scenario":"baseline"}{"extra":true}`,
 		`{"schema_version":2,"scenario":"baseline"}`,
@@ -57,12 +59,24 @@ func FuzzCampaignRequest(f *testing.F) {
 		if total < max(req.Runs, 1) {
 			t.Fatalf("TotalRuns %d below runs %d", total, req.Runs)
 		}
+		keys := make(map[string]bool)
 		for _, sw := range req.Sweeps {
 			if total < len(sw.Values) {
 				t.Fatalf("TotalRuns %d below a sweep of %d values", total, len(sw.Values))
 			}
 			if sw.Key == "seed" {
 				t.Fatalf("accepted a sweep of the seed key: %+v", req)
+			}
+			if keys[sw.Key] {
+				t.Fatalf("accepted a repeated sweep key %q: %+v", sw.Key, req)
+			}
+			keys[sw.Key] = true
+			values := make(map[float64]bool)
+			for _, v := range sw.Values {
+				if values[v] {
+					t.Fatalf("accepted sweep %q repeating the value %v: %+v", sw.Key, v, req)
+				}
+				values[v] = true
 			}
 		}
 		if _, ok := req.Params["seed"]; ok {

@@ -109,11 +109,11 @@ func TestStreamRecordsSSE(t *testing.T) {
 
 func TestBadRequestsAre400(t *testing.T) {
 	_, cl := newTestServer(t, Config{Workers: 1, MaxRunsPerJob: 10})
-	// 1,000 points whose last cell is invalid: the run cap refuses the
-	// request before any cell is checked.
+	// 1,000 distinct points whose last cell is invalid: the run cap
+	// refuses the request before any cell is checked.
 	capFirst := make([]float64, 1000)
 	for i := range capFirst[:999] {
-		capFirst[i] = 2e9
+		capFirst[i] = 2e9 + float64(i)
 	}
 	type badCase struct {
 		req  CampaignRequest
@@ -130,6 +130,10 @@ func TestBadRequestsAre400(t *testing.T) {
 			Sweeps: []containerdrone.Sweep{{Key: "bus.capacity", Values: []float64{2e9, 0}}}}, "bus capacity"},
 		{CampaignRequest{Scenario: "gps-spoof",
 			Sweeps: []containerdrone.Sweep{{Key: "bus.capacity", Values: capFirst}}}, "caps jobs at 10"},
+		{CampaignRequest{Scenario: "gps-spoof",
+			Sweeps: []containerdrone.Sweep{{Key: "fault.rate", Values: []float64{0.5, 0.5}}}}, "repeats the value 0.5"},
+		{CampaignRequest{Scenario: "gps-spoof", Sweeps: []containerdrone.Sweep{
+			{Key: "fault.rate", Values: []float64{0.5, 1}}, {Key: "fault.rate", Values: []float64{0.5, 1}}}}, "is repeated"},
 	}
 	for _, req := range overflowRequests() {
 		cases = append(cases, badCase{req, "ceiling"})
@@ -219,6 +223,9 @@ func TestQuotaBeforeCellChecks(t *testing.T) {
 	}
 	allBad := CampaignRequest{Scenario: "gps-spoof",
 		Sweeps: []containerdrone.Sweep{{Key: "bus.capacity", Values: make([]float64, 4096)}}}
+	for i := range allBad.Sweeps[0].Values {
+		allBad.Sweeps[0].Values[i] = -float64(i) // distinct, none positive
+	}
 	_, err = cl.Submit(t.Context(), allBad)
 	if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != http.StatusTooManyRequests || apiErr.Reason != "quota" {
 		t.Fatalf("4,096 bad cells over quota: want 429 quota, got %v", err)
