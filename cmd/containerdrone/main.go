@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +45,7 @@ func main() {
 		runs     = flag.Int("runs", 1, "seeds per sweep point; >1 (or any -sweep) switches to campaign mode")
 		parallel = flag.Int("parallel", 0, "campaign workers (0 = GOMAXPROCS)")
 		fork     = flag.Bool("fork", true, "campaign: share pre-onset prefixes across sweep variants via checkpoint forking")
-		recCSV   = flag.String("records-csv", "", "campaign: per-run records CSV, streamed live then finalized in run order")
+		recCSV   = flag.String("records-csv", "", "campaign: per-run records CSV, streamed live in run order")
 		aggCSV   = flag.String("agg-csv", "", "campaign: write per-point aggregate CSV to this path")
 		jsonPath = flag.String("json", "", "campaign: write full report JSON to this path")
 
@@ -136,19 +137,20 @@ func runCampaign(ctx context.Context, scenario string, params map[string]float64
 		fatal(err)
 	}
 	// Records stream to disk as runs complete, off the workers' hot
-	// path, so long campaigns are observable with tail -f.
+	// path, so long campaigns are observable with tail -f. The stream
+	// is the file's only writer: rows arrive in index order, and cells
+	// a cancellation left unrun still stream their error records.
 	var recDone func() error
 	if recCSV != "" {
 		f, err := os.Create(recCSV)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		stream, done, err := containerdrone.StreamRecordsCSV(f)
 		if err != nil {
 			fatal(err)
 		}
-		recDone = done
+		recDone = func() error { return errors.Join(done(), f.Close()) }
 		opts = append(opts, containerdrone.WithRecordObserver(stream))
 		fmt.Printf("streaming records to %s\n", recCSV)
 	}
@@ -158,16 +160,9 @@ func runCampaign(ctx context.Context, scenario string, params map[string]float64
 		fatal(runErr)
 	}
 	if recDone != nil {
-		if err := recDone(); err != nil && runErr == nil {
+		if err := recDone(); err != nil {
 			fatal(fmt.Errorf("records CSV %s is incomplete: %w", recCSV, err))
 		}
-		// Streamed rows already arrive in index order (the emitter
-		// re-sequences fork and worker completions), so the file is
-		// byte-identical to WriteRecordsCSV; the rewrite stands as a
-		// cheap guard against a stream interrupted mid-row — and, on an
-		// interrupted campaign, replaces the truncated stream with the
-		// partial result's consistent view.
-		writeOut(recCSV, res.WriteRecordsCSV)
 	}
 	fmt.Print(res.Summary())
 	writeOut(aggCSV, res.WriteAggregatesCSV)

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"containerdrone"
 )
 
 // TestMain runs the test binary as the containerdrone command when
@@ -64,15 +68,16 @@ func TestRefusedCampaignKeepsRecordsFile(t *testing.T) {
 }
 
 // TestCampaignWritesRecordsFile is the accepted counterpart: a valid
-// campaign replaces the file with a header plus one row per run.
+// 2-point campaign replaces the file with the streamed rows, which
+// must equal WriteRecordsCSV over the records the -json report holds.
 func TestCampaignWritesRecordsFile(t *testing.T) {
 	dir := t.TempDir()
 	rec := filepath.Join(dir, "rec.csv")
 	if err := os.WriteFile(rec, []byte("old content\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, out := runCLI(t, dir, "-scenario", "baseline", "-runs", "2",
-		"-records-csv", "rec.csv", "-duration", "1s")
+	code, out := runCLI(t, dir, "-scenario", "baseline", "-sweep", "wind=0,1",
+		"-records-csv", "rec.csv", "-json", "res.json", "-duration", "1s")
 	if code != 0 {
 		t.Fatalf("exit %d, output %q; want 0", code, out)
 	}
@@ -82,5 +87,20 @@ func TestCampaignWritesRecordsFile(t *testing.T) {
 	}
 	if lines := strings.Split(strings.TrimSpace(string(got)), "\n"); len(lines) != 3 {
 		t.Fatalf("rec.csv has %d lines, want a header and 2 rows:\n%s", len(lines), got)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "res.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res containerdrone.CampaignResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := res.WriteRecordsCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("streamed rec.csv differs from the JSON's records:\n%s\nwant:\n%s", got, want.Bytes())
 	}
 }
