@@ -60,6 +60,12 @@ func main() {
 		figFlags[i] = flag.Bool(f.flagName, false, f.help)
 	}
 	flag.Parse()
+	// The tables and matrices fly fixed lengths and the figures their
+	// presets, so a -duration meant for them would be silently dropped.
+	if *duration != 0 && *scenario == "" {
+		fmt.Fprintln(os.Stderr, "-duration applies only to -scenario")
+		os.Exit(2)
+	}
 
 	// SIGINT/SIGTERM cancel the in-flight simulation; completed rows
 	// stay on stdout and the interrupted figure still flushes its
