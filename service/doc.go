@@ -56,13 +56,14 @@
 // boundary retires its worker, a replacement spawns under a restart-
 // rate token bucket (restartBurst = 5 at once, then restartRate = 1
 // per second — the crash-loop brake), and the job is re-queued
-// maxJobRetries = 1 time before settling as failed. Because a campaign is a pure function of
-// (request, seed), a retried job re-emits a byte-identical record
-// stream, so SSE followers ride through the retry without duplicates
-// or gaps; followers of a job that exhausts its retries receive the
-// structured "error" terminal event instead of a hung stream. (Per-run
-// panics inside the campaign engine never reach this layer: the engine
-// quarantines them as per-run failure records.)
+// maxJobRetries = 1 time before settling as failed. Because a
+// campaign is a pure function of (request, seed), a retried job
+// re-emits a byte-identical record stream, so SSE followers ride
+// through the retry without duplicates or gaps; followers of a job
+// that exhausts its retries receive the structured "error" terminal
+// event instead of a hung stream. (Per-run panics inside the campaign
+// engine never reach this layer: the engine quarantines them as
+// per-run failure records.)
 //
 // # Durable job journal
 //
