@@ -72,14 +72,15 @@ type Spec struct {
 	PrefixShare bool
 
 	// Chaos, when non-nil, is the test-only fault-injection hook run
-	// inside the worker's recover boundary before every full-flight
-	// run attempt, proving the campaign's crash isolation works
-	// without corrupting anything. It may panic (a crash at the
-	// worker), stall (a hung dependency), or return an error
-	// (Transient to exercise the retry path, anything else for a
-	// permanent failure). point and run identify the cell; attempt
-	// counts executions of that cell, starting at 0. Production
-	// campaigns leave it nil and pay only a recover() frame.
+	// inside the worker's recover boundary before every cell attempt —
+	// full flights, fork leaders and forked variants alike — proving
+	// the campaign's crash isolation works without corrupting
+	// anything. It may panic (a crash at the worker), stall (a hung
+	// dependency), or return an error (Transient to exercise the retry
+	// path, anything else for a permanent failure). point and run
+	// identify the cell; attempt counts executions of that cell,
+	// starting at 0. Production campaigns leave it nil and pay only a
+	// recover() frame.
 	Chaos func(point, run, attempt int) error
 
 	// Stream, when non-nil, receives every Record exactly once, in
@@ -162,8 +163,9 @@ func DeriveSeed(base uint64, point, run int) uint64 {
 // prefix ticks saved by checkpoint forking, and how much of the grid
 // qualified for sharing.
 //
-// When ctx is done, no new runs are dispatched, in-flight runs stop at
-// the next engine checkpoint, and the partial result is returned
+// When ctx is done, in-flight runs stop at the next engine checkpoint,
+// every cell a worker reaches afterwards becomes an error record
+// without building anything, and the partial result is returned
 // together with the context's error. Every cell is present in the
 // output; cells that never ran (or were interrupted) carry a non-empty
 // Err.
@@ -268,41 +270,11 @@ func Run(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 			workerStats[wi] = w.stats
 		}(wi)
 	}
-	dispatchedAll := true
 	for _, c := range chunks {
-		// Checking the context before the send (not only in the
-		// select, which picks randomly among ready cases) guarantees
-		// nothing is dispatched once the context is done.
-		if ctx.Err() != nil {
-			dispatchedAll = false
-			break
-		}
-		select {
-		case jobs <- c:
-		case <-ctx.Done():
-			dispatchedAll = false
-		}
-		if !dispatchedAll {
-			break
-		}
+		jobs <- c
 	}
 	close(jobs)
 	wg.Wait()
-	if !dispatchedAll {
-		// Fill the cells that were never dispatched so the output
-		// shape stays total-sized and index-ordered even on
-		// cancellation. Group dispatch interleaves point indices, so
-		// the never-ran set is found by scanning for unwritten records
-		// (a written record always carries its point label) rather
-		// than by an index watermark.
-		w := worker{spec: spec, plan: plan}
-		for idx := range records {
-			if records[idx].Point == "" {
-				records[idx] = w.errRecord(idx/spec.Runs, idx%spec.Runs, ctx.Err())
-				done <- idx
-			}
-		}
-	}
 	close(done)
 	<-emitted
 	aggs := make([]Aggregate, len(folds))
@@ -345,13 +317,14 @@ func Validate(spec Spec) error {
 	return err
 }
 
-// worker is one pool member's run state. Every cell it flies takes
-// the same three steps: acquire a System from the warm cache of the
-// group it is flying (system), restore it from the group's fork
-// snapshot when the cell is a forked variant, and fly it to the end of
-// its flight into the cell's record (fly). A point without prefix
-// sharing is a group of one. The cache holds one System per member
-// point and is dropped when the worker moves to another group,
+// worker is one pool member's run state. Every cell it flies is one
+// protected, retried runCell taking the same steps: acquire a System
+// from the warm cache of the group it is flying (system), restored from
+// the group's fork snapshot when the cell is a forked variant; fly a
+// fork leader's shared prefix and capture that snapshot; and fly to the
+// end of the flight into the cell's record (fly). A point without
+// prefix sharing is a group of one. The cache holds one System per
+// member point and is dropped when the worker moves to another group,
 // bounding residency at one group's width, and after a panic (settle).
 // A cached System comes back rewound from the tick-0 Snapshot captured
 // right after its build instead of being rebuilt — rings, schedules,
@@ -377,114 +350,79 @@ type warm struct {
 
 // runChunk executes runs [lo, hi) of group gi — every member point at
 // every run index in the range — writing each cell into
-// records[pi*Runs+ri] and sending idx on done as it completes. A group
-// qualified for prefix sharing flies the shared prefix once per run
-// index and forks the members from a snapshot; every other group flies
-// its members as full flights.
+// records[pi*Runs+ri] and sending idx on done as it completes. Every
+// cell is one runCell. In a group qualified for prefix sharing the
+// leader captures the group's snapshot at the fork tick on its way
+// through its own flight, and the other members fly from it; when the
+// leader yields no snapshot they fly full flights. A cell reached after
+// cancellation becomes an error record without building anything.
 func (w *worker) runChunk(ctx context.Context, gi, lo, hi int, records []Record, done chan<- int) {
 	if w.gi != gi {
 		w.gi, w.cache = gi, nil
 	}
 	g := &w.plan.groups[gi]
-	fork := g.forkTick > 0
 	for ri := lo; ri < hi; ri++ {
 		// A System is worth caching only if the worker flies its point
 		// again in this chunk.
 		again := ri+1 < hi
-		if fork && ctx.Err() == nil {
-			w.runForkIndex(ctx, g, ri, again, records, done)
-		} else {
-			w.fullFlights(ctx, g.members, ri, again, records, done)
-		}
-	}
-}
-
-// fullFlights flies points pis at run index ri as full flights, each
-// one a protected, retried cell (runCell). It is the path of every
-// unforked group and the fork path's one degrade path.
-func (w *worker) fullFlights(ctx context.Context, pis []int, ri int, again bool, records []Record, done chan<- int) {
-	for _, pi := range pis {
-		idx := pi*w.spec.Runs + ri
-		if err := ctx.Err(); err != nil {
-			records[idx] = w.errRecord(pi, ri, err)
-		} else {
-			records[idx] = w.runCell(ctx, pi, ri, again)
-		}
-		done <- idx
-	}
-}
-
-// runForkIndex flies one run index of a qualified fork group: the
-// leader's shared prefix, a snapshot, the rest of the leader's flight,
-// then every member forked from the snapshot. Each cell runs inside
-// the protect() boundary, so a panic fails only the cell it surfaced
-// on and drops the worker's cache. When the leader yields no snapshot
-// — its build failed or panicked, its prefix panicked, or the runtime
-// Snapshotable probe refused (something acted before the planned onset
-// after all, e.g. a swept monitor threshold tight enough to trip
-// during the benign hover) — the other members fly full flights, so
-// one poisoned (scenario, seed) point cannot sink its group, let alone
-// the campaign. Records stay byte-identical to cold runs either way.
-func (w *worker) runForkIndex(ctx context.Context, g *forkGroup, ri int, again bool, records []Record, done chan<- int) {
-	leadPI := g.leader()
-	forked := false
-	var rec Record
-	err, panicked, stack := protect(func() error {
-		leader, err := w.system(leadPI, ri, again, nil)
-		if err != nil {
-			return err
-		}
-		if err := leader.RunToTickContext(ctx, g.forkTick); err != nil {
-			rec = w.errRecord(leadPI, ri, err)
-			return nil
-		}
-		if leader.Snapshotable() == nil {
-			leader.SnapshotInto(&w.snap)
-			forked = true
-		}
-		rec = w.fly(ctx, leader, leadPI, ri, 0)
-		return nil
-	})
-	lidx := leadPI*w.spec.Runs + ri
-	records[lidx] = w.settle(ctx, leadPI, ri, rec, err, panicked, stack)
-	done <- lidx
-	if !forked {
-		w.fullFlights(ctx, g.members[1:], ri, again, records, done)
-		return
-	}
-	for _, pi := range g.members[1:] {
-		var rec Record
-		err, panicked, stack := protect(func() error {
-			sys, err := w.system(pi, ri, again, &w.snap)
-			if err != nil {
-				return err
+		forked := false
+		for i, pi := range g.members {
+			idx := pi*w.spec.Runs + ri
+			switch err := ctx.Err(); {
+			case err != nil:
+				records[idx] = w.errRecord(pi, ri, err)
+			case i == 0:
+				records[idx], forked = w.runCell(ctx, pi, ri, again, g.forkTick, 0)
+			case forked:
+				records[idx], _ = w.runCell(ctx, pi, ri, again, 0, g.forkTick)
+			default:
+				records[idx], _ = w.runCell(ctx, pi, ri, again, 0, 0)
 			}
-			rec = w.fly(ctx, sys, pi, ri, g.forkTick)
-			return nil
-		})
-		idx := pi*w.spec.Runs + ri
-		records[idx] = w.settle(ctx, pi, ri, rec, err, panicked, stack)
-		done <- idx
+			done <- idx
+		}
 	}
 }
 
-// runCell executes one (point, run) cell as a full flight inside the
-// recover boundary. Transient failures retry with bounded exponential
-// backoff; everything else settles the cell on its first attempt.
-func (w *worker) runCell(ctx context.Context, pi, ri int, again bool) Record {
+// runCell executes one (point, run) cell inside the recover boundary.
+// With from > 0 the cell is a forked variant restored from the group's
+// snapshot at that tick; otherwise it flies from tick 0. With capture >
+// 0 it first flies the shared prefix to that tick and, when the runtime
+// Snapshotable probe allows (it refuses when something acted before the
+// planned onset after all, e.g. a swept monitor threshold tight enough
+// to trip during the benign hover), captures the group's snapshot,
+// reporting that it did. Transient failures retry with bounded
+// exponential backoff; everything else settles the cell on its first
+// attempt. A panic fails only this cell and drops the worker's cache,
+// so one poisoned (scenario, seed) point cannot sink its group.
+func (w *worker) runCell(ctx context.Context, pi, ri int, again bool, capture, from int64) (Record, bool) {
+	var snap *core.Snapshot
+	if from > 0 {
+		snap = &w.snap
+	}
 	for attempt := 0; ; attempt++ {
 		var rec Record
+		captured := false
 		err, panicked, stack := protect(func() error {
 			if w.spec.Chaos != nil {
 				if err := w.spec.Chaos(pi, ri, attempt); err != nil {
 					return err
 				}
 			}
-			sys, err := w.system(pi, ri, again, nil)
+			sys, err := w.system(pi, ri, again, snap)
 			if err != nil {
 				return err
 			}
-			rec = w.fly(ctx, sys, pi, ri, 0)
+			if capture > 0 {
+				if err := sys.RunToTickContext(ctx, capture); err != nil {
+					rec = w.errRecord(pi, ri, err)
+					return nil
+				}
+				if sys.Snapshotable() == nil {
+					sys.SnapshotInto(&w.snap)
+					captured = true
+				}
+			}
+			rec = w.fly(ctx, sys, pi, ri, from)
 			return nil
 		})
 		if IsTransient(err) && attempt+1 < maxRunAttempts && ctx.Err() == nil {
@@ -494,7 +432,7 @@ func (w *worker) runCell(ctx context.Context, pi, ri int, again bool) Record {
 		}
 		rec = w.settle(ctx, pi, ri, rec, err, panicked, stack)
 		rec.Retries = attempt
-		return rec
+		return rec, captured
 	}
 }
 

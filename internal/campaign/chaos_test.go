@@ -275,3 +275,82 @@ func TestChaosStall(t *testing.T) {
 		t.Errorf("stalled campaign diverged:\n got %s\nwant %s", got, want)
 	}
 }
+
+// chaosForkSpec is a prefix-sharing campaign whose one group forks:
+// two udpflood threshold variants, flights past the 8 s onset, one
+// worker.
+func chaosForkSpec(runs int, chaos func(point, run, attempt int) error) Spec {
+	spec := forkSpec("udpflood", runs)
+	spec.Duration = 10 * time.Second
+	spec.Parallel = 1
+	spec.Chaos = chaos
+	return spec
+}
+
+// TestChaosForkLeaderPanic: a panic on the fork leader quarantines only
+// the leader's record at that run index. The leader yields no snapshot
+// there, so the other member flies a full flight; every record but the
+// quarantined one equals the cold-build baseline.
+func TestChaosForkLeaderPanic(t *testing.T) {
+	const runs, panicRun = 3, 1
+	hook := func(point, run, attempt int) error {
+		if point == 0 && run == panicRun && attempt == 0 {
+			panic("chaos: injected leader panic")
+		}
+		return nil
+	}
+	spec := chaosForkSpec(runs, hook)
+	records, _, stats, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, _ := coldRun(t, spec)
+	for i, r := range records {
+		if i == panicRun { // point 0 is the leader
+			if !r.Panicked || !strings.Contains(r.Err, "injected leader panic") || r.Seed != cold[i].Seed {
+				t.Errorf("leader run %d: want a quarantined panic record with its seed, got %+v", panicRun, r)
+			}
+			continue
+		}
+		got, _ := json.Marshal(r)
+		want, _ := json.Marshal(cold[i])
+		if string(got) != string(want) {
+			t.Errorf("record %d diverged after the leader panic:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	if want := runs - 1; stats.ForkedRuns != want || stats.RunsPanicked != 1 || stats.RunsFailed != 1 {
+		t.Errorf("stats = %+v, want %d forked runs and 1 panicked/failed", stats, want)
+	}
+}
+
+// TestChaosForkedMemberTransientRetry: a transient failure on a forked
+// member retries from the group's snapshot and lands the cold-build
+// record, with Retries 1.
+func TestChaosForkedMemberTransientRetry(t *testing.T) {
+	const runs = 2
+	hook := func(point, run, attempt int) error {
+		if point == 1 && run == 0 && attempt == 0 {
+			return Transient(context.DeadlineExceeded)
+		}
+		return nil
+	}
+	spec := chaosForkSpec(runs, hook)
+	records, _, stats, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, _ := coldRun(t, spec)
+	r := records[runs] // point 1, run 0
+	if r.Err != "" || r.Retries != 1 {
+		t.Fatalf("retried forked run: want healthy with retries=1, got %+v", r)
+	}
+	r.Retries = 0
+	got, _ := json.Marshal(r)
+	want, _ := json.Marshal(cold[runs])
+	if string(got) != string(want) {
+		t.Errorf("retried forked run diverged from the cold run:\n got %s\nwant %s", got, want)
+	}
+	if stats.RunsRetried != 1 || stats.RunsFailed != 0 || stats.ForkedRuns != runs {
+		t.Errorf("stats = %+v, want 1 retried, 0 failed, %d forked", stats, runs)
+	}
+}

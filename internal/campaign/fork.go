@@ -67,8 +67,6 @@ type forkGroup struct {
 	forkTick int64
 }
 
-func (g *forkGroup) leader() int { return g.members[0] }
-
 // forkPlan is the grouped view of a campaign grid.
 type forkPlan struct {
 	groups []forkGroup

@@ -350,6 +350,27 @@ func TestCampaignCancel(t *testing.T) {
 			t.Fatalf("record %d/%d ran despite pre-canceled context", r.Run, len(res.Records))
 		}
 	}
+
+	// A sharing sweep whose flights outlast gps-spoof's 10 s onset: its
+	// fork group is dispatched like any other, and every cell must
+	// still be marked without flying a tick.
+	c = containerdrone.NewCampaign("gps-spoof",
+		containerdrone.WithSweep("fault.rate", 0.5, 1),
+		containerdrone.WithRuns(2),
+		containerdrone.WithParallel(1),
+		containerdrone.WithRunDuration(11*time.Second))
+	res, err = c.Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("sharing sweep: err = %v, want context.Canceled", err)
+	}
+	if res == nil || len(res.Records) != 4 || res.Stats.ForkGroups != 1 || res.Stats.TicksFlown != 0 {
+		t.Fatalf("canceled sharing sweep = %+v, want 4 marked cells of one fork group and no tick flown", res)
+	}
+	for _, r := range res.Records {
+		if r.Err == "" {
+			t.Fatalf("sharing sweep: record %s/%d ran despite pre-canceled context", r.Point, r.Run)
+		}
+	}
 }
 
 // TestCampaignRejectsOverflowingGrid checks that a grid above either
