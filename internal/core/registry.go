@@ -207,11 +207,16 @@ func seconds(v float64) time.Duration {
 }
 
 // ApplyParam sets one named parameter on a Config. See ParamKeys for
-// the key set; unknown keys are an error so sweep typos fail loudly.
+// the key set; unknown keys are an error so sweep typos fail loudly, and
+// so is a NaN or infinite value, which no setter can turn into a
+// meaningful knob (and a NaN would slip a sweep's repeat check).
 func ApplyParam(cfg *Config, key string, v float64) error {
 	p, ok := paramSetters[key]
 	if !ok {
 		return fmt.Errorf("core: unknown parameter %q (known: %v)", key, ParamKeys())
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("core: parameter %q = %v is not a finite number", key, v)
 	}
 	p.set(cfg, v)
 	return nil

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -51,6 +53,15 @@ func TestBuildUnknownParam(t *testing.T) {
 	_, err := Build("baseline", Options{Params: map[string]float64{"no.such.key": 1}})
 	if err == nil {
 		t.Fatal("unknown parameter did not error")
+	}
+}
+
+func TestBuildRefusesNonFiniteParam(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Build("gps-spoof", Options{Params: map[string]float64{"fault.rate": v}})
+		if err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("fault.rate=%v: Build says %v; want the non-finite value refused", v, err)
+		}
 	}
 }
 

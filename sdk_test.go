@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -426,17 +427,23 @@ func TestCampaignRefusesSeedParam(t *testing.T) {
 // TestCampaignRefusesRepeatedSweeps checks that the SDK refuses a sweep
 // that repeats a value or a key: the repeated cells would fly the same
 // flights under one label twice, or under a label naming a value they
-// did not fly.
+// did not fly. NaN equals no value, itself included, so the repeat
+// check cannot see a repeated NaN; the per-cell build refuses it as
+// not finite.
 func TestCampaignRefusesRepeatedSweeps(t *testing.T) {
-	for name, opts := range map[string][]containerdrone.CampaignOption{
-		"repeated value": {containerdrone.WithSweep("fault.rate", 0.5, 0.5)},
-		"repeated key": {containerdrone.WithSweep("fault.rate", 0.5, 1),
-			containerdrone.WithSweep("fault.rate", 0.5, 1)},
+	for name, tc := range map[string]struct {
+		opts []containerdrone.CampaignOption
+		want string
+	}{
+		"repeated value": {[]containerdrone.CampaignOption{containerdrone.WithSweep("fault.rate", 0.5, 0.5)}, "repeat"},
+		"repeated key": {[]containerdrone.CampaignOption{containerdrone.WithSweep("fault.rate", 0.5, 1),
+			containerdrone.WithSweep("fault.rate", 0.5, 1)}, "repeat"},
+		"repeated NaN": {[]containerdrone.CampaignOption{containerdrone.WithSweep("fault.rate", math.NaN(), math.NaN())}, "finite"},
 	} {
-		c := containerdrone.NewCampaign("gps-spoof", append(opts, containerdrone.WithRuns(2),
+		c := containerdrone.NewCampaign("gps-spoof", append(tc.opts, containerdrone.WithRuns(2),
 			containerdrone.WithRunDuration(12*time.Second))...)
-		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "repeat") {
-			t.Errorf("%s: Validate says %v; want the repeat refused", name, err)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate says %v; want it refused (%q)", name, err, tc.want)
 		}
 		if res, err := c.Run(context.Background()); err == nil || res != nil {
 			t.Errorf("%s: result %v, err %v; want an up-front error", name, res, err)
