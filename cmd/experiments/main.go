@@ -73,12 +73,13 @@ func main() {
 	ctx, stop := cliutil.SignalContext(context.Background())
 	defer stop()
 	if *scenario != "" {
-		anyTableOrFig := *all || *table1 || *table2
+		anyTableOrFig := *all || *table1 || *table2 || *faults || *swarm
 		for i := range figFlags {
 			anyTableOrFig = anyTableOrFig || *figFlags[i]
 		}
 		if anyTableOrFig {
-			fatal(fmt.Errorf("-scenario cannot be combined with -all/-table*/-fig* (run them separately)"))
+			fmt.Fprintln(os.Stderr, "-scenario cannot be combined with -all/-table*/-fig*/-faults/-swarm (run them separately)")
+			os.Exit(2)
 		}
 		runScenario(ctx, *scenario, *seed, *duration, *csvDir)
 		return

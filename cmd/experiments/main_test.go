@@ -48,3 +48,13 @@ func TestDurationNeedsScenario(t *testing.T) {
 		t.Fatalf("-scenario kill -duration 1s: exit %d, output %q; want 0", code, out)
 	}
 }
+
+// TestScenarioExcludesTablesAndFigures pins that -scenario with a table,
+// figure, matrix or -all is a usage error, exit 2 like the CLIs' others.
+func TestScenarioExcludesTablesAndFigures(t *testing.T) {
+	for _, other := range []string{"-all", "-table1", "-fig6", "-faults", "-swarm"} {
+		if code, out := runCLI(t, "-scenario", "kill", other); code != 2 || !strings.Contains(out, "-scenario") {
+			t.Errorf("-scenario kill %s: exit %d, output %q; want exit 2 naming -scenario", other, code, out)
+		}
+	}
+}
