@@ -16,6 +16,12 @@ type burstFabric struct {
 	net            *Network
 	route          *Route
 	norms, uniform int
+
+	// bufs holds every payload buffer the fabric has been seen to hand
+	// out, keyed by its backing array and kept referenced so no address
+	// is reused; retired marks those getBuf dropped as too small.
+	bufs    map[*byte][]byte
+	retired map[*byte]bool
 }
 
 var (
@@ -27,7 +33,7 @@ var (
 // burstDst, an optional token bucket on it, and the given link. The
 // random sources are seeded alike on both sides of a pair.
 func newBurstFabric(seed uint64, link LinkParams, rate, burst float64, bind bool) *burstFabric {
-	f := &burstFabric{}
+	f := &burstFabric{bufs: make(map[*byte][]byte), retired: make(map[*byte]bool)}
 	rng := sim.NewRNG(seed)
 	f.net = New(
 		func() float64 { f.norms++; return rng.Norm() },
@@ -44,15 +50,18 @@ func newBurstFabric(seed uint64, link LinkParams, rate, burst float64, bind bool
 
 // compareFabrics fails unless a and b hold the same state: endpoint
 // counters, queued and in-flight packets (addresses, bytes, send and
-// delivery instants) in order, draw counts, pool size and the bucket.
+// delivery instants) in order, draw counts and the bucket. In-flight
+// traffic is compared packet by packet, each run expanded into its
+// packets. The pools are not compared, since a run holds one buffer
+// where the same single sends hold one each; checkBuffers checks each
+// side's buffers on their own instead.
 func compareFabrics(t *testing.T, a, b *burstFabric) {
 	t.Helper()
 	if a.norms != b.norms || a.uniform != b.uniform {
 		t.Fatalf("draws: norm %d/%d, uniform %d/%d", a.norms, b.norms, a.uniform, b.uniform)
 	}
-	if len(a.net.free) != len(b.net.free) {
-		t.Fatalf("pool size %d, want %d", len(a.net.free), len(b.net.free))
-	}
+	checkBuffers(t, a)
+	checkBuffers(t, b)
 	ta, tb := a.net.limits[burstDst], b.net.limits[burstDst]
 	if (ta == nil) != (tb == nil) {
 		t.Fatal("one side lost its bucket")
@@ -60,13 +69,13 @@ func compareFabrics(t *testing.T, a, b *burstFabric) {
 	if ta != nil && (math.Float64bits(ta.tokens) != math.Float64bits(tb.tokens) || ta.last != tb.last) {
 		t.Fatalf("bucket tokens/last = %v/%v, want %v/%v", ta.tokens, ta.last, tb.tokens, tb.last)
 	}
-	if len(a.net.inflight) != len(b.net.inflight) {
-		t.Fatalf("in flight %d, want %d", len(a.net.inflight), len(b.net.inflight))
+	fa, fb := inflightPackets(a.net), inflightPackets(b.net)
+	if len(fa) != len(fb) {
+		t.Fatalf("in flight %d packets, want %d", len(fa), len(fb))
 	}
-	for i := range a.net.inflight {
-		fa, fb := &a.net.inflight[i], &b.net.inflight[i]
-		if fa.at != fb.at || !samePacket(&fa.pkt, &fb.pkt) {
-			t.Fatalf("in-flight packet %d differs: %+v, want %+v", i, *fa, *fb)
+	for i := range fa {
+		if fa[i].at != fb[i].at || !samePacket(&fa[i].pkt, &fb[i].pkt) {
+			t.Fatalf("in-flight packet %d differs: %+v, want %+v", i, fa[i], fb[i])
 		}
 	}
 	ea, eb := a.net.endpoints[burstDst], b.net.endpoints[burstDst]
@@ -88,6 +97,70 @@ func compareFabrics(t *testing.T, a, b *burstFabric) {
 		if !samePacket(pa, pb) {
 			t.Fatalf("queued packet %d differs: %+v, want %+v", i, *pa, *pb)
 		}
+	}
+}
+
+// inflightPackets expands n's in-flight runs into one flight of one
+// packet each, in send order.
+func inflightPackets(n *Network) []flight {
+	var out []flight
+	for _, f := range n.inflight {
+		for j := 0; j < f.n; j++ {
+			out = append(out, flight{pkt: f.pkt, at: f.at, n: 1})
+		}
+	}
+	return out
+}
+
+// checkBuffers fails unless f's payload buffers are all accounted for:
+// none appears twice across the pool, the in-flight runs, the receive
+// ring and the buffers lent to the last receive call, and pool +
+// distinct in-flight buffers + queued + lent equals the buffers ever
+// handed out. The one legitimate way out of circulation is getBuf
+// dropping a pooled buffer too small for a later payload, so a vanished
+// buffer counts as retired only when it is smaller than the longest
+// live payload; any other is a leak.
+func checkBuffers(t *testing.T, f *burstFabric) {
+	t.Helper()
+	live := make(map[*byte]bool)
+	longest := 0
+	add := func(where string, b []byte) {
+		if cap(b) == 0 {
+			t.Fatalf("empty buffer %s: the oracle identifies buffers by their first byte", where)
+		}
+		p := &b[:cap(b)][0]
+		if live[p] {
+			t.Fatalf("buffer %p appears twice, again %s", p, where)
+		}
+		live[p] = true
+		longest = max(longest, len(b))
+		if f.bufs[p] == nil {
+			f.bufs[p] = b
+		}
+	}
+	n := f.net
+	for _, b := range n.free {
+		add("in the pool", b)
+	}
+	for i := range n.inflight {
+		add("in flight", n.inflight[i].pkt.Payload)
+	}
+	if ep := n.endpoints[burstDst]; ep != nil {
+		for i := 0; i < ep.count; i++ {
+			add("queued", ep.ring[(ep.head+i)%len(ep.ring)].Payload)
+		}
+		for _, b := range ep.handed {
+			add("lent", b)
+		}
+	}
+	for p, b := range f.bufs {
+		if !live[p] && !f.retired[p] && cap(b) < longest {
+			f.retired[p] = true
+		}
+	}
+	if len(live)+len(f.retired) != len(f.bufs) {
+		t.Fatalf("%d buffers live and %d retired, but %d handed out: a buffer leaked or came back",
+			len(live), len(f.retired), len(f.bufs))
 	}
 }
 
@@ -160,6 +233,8 @@ func TestSendBurstMatchesSingleSends(t *testing.T) {
 		{name: "loss", link: LinkParams{Loss: 0.3}, rate: 8000, burst: 16, pre: 8, at: time.Millisecond, n: 40},
 		{name: "jitter", link: LinkParams{Latency: 100 * time.Microsecond, Jitter: 300 * time.Microsecond},
 			rate: 8000, burst: 30, pre: 5, at: time.Millisecond, n: 40},
+		{name: "latency", link: LinkParams{Latency: 300 * time.Microsecond}, rate: 8000, burst: 30, pre: 5,
+			at: time.Millisecond, n: 40},
 		{name: "unbound", rate: 8000, burst: 512, at: time.Millisecond, unbound: true, n: 20},
 		{name: "zero", rate: 8000, burst: 512, pre: 3, at: time.Millisecond, n: 0},
 	}
@@ -193,14 +268,15 @@ func TestSendBurstMatchesSingleSends(t *testing.T) {
 
 // FuzzSendBurst checks the burst path against single sends over a
 // script of bursts at random sizes and instants, into a random bucket
-// with loss, jitter, a partition or an unbound destination switched on
-// by flags.
+// with loss, jitter, a latency alone, a partition or an unbound
+// destination switched on by flags.
 func FuzzSendBurst(f *testing.F) {
 	f.Add(8000.0, 512.0, uint8(0), uint64(1), []byte{20, 10, 20, 10, 20, 0, 200, 1})
 	f.Add(8000.0, 4.0, uint8(2), uint64(2), []byte{20, 1, 0, 0, 7, 3, 255, 40})
 	f.Add(1000.0, 2.5, uint8(4), uint64(3), []byte{3, 0, 3, 0, 3, 1})
 	f.Add(0.0, 0.0, uint8(1), uint64(4), []byte{5, 5})
 	f.Add(8000.0, 512.0, uint8(8), uint64(5), []byte{20, 10})
+	f.Add(8000.0, 512.0, uint8(16), uint64(6), []byte{20, 2, 20, 3, 3, 10, 20, 1})
 	f.Fuzz(func(t *testing.T, rate, burst float64, flags uint8, seed uint64, script []byte) {
 		// Keep the bucket finite; rate <= 0 installs no limit.
 		if !(math.Abs(rate) < 1e7) {
@@ -216,6 +292,8 @@ func FuzzSendBurst(f *testing.F) {
 		if flags&4 != 0 {
 			link.Latency = 100 * time.Microsecond
 			link.Jitter = 300 * time.Microsecond
+		} else if flags&16 != 0 {
+			link.Latency = 300 * time.Microsecond
 		}
 		if len(script) > 128 {
 			script = script[:128] // 64 bursts: a long script explores nothing new
@@ -236,4 +314,61 @@ func FuzzSendBurst(f *testing.F) {
 		}
 		stepBoth(t, a, b, now+time.Second)
 	})
+}
+
+// TestSnapshotRestoresRunMidFlight captures a 20-packet run in flight
+// toward a 256-slot ring with 4 free slots, restores it onto a second
+// fabric built the same way, and requires both to deliver the same
+// packets and count the same drops.
+func TestSnapshotRestoresRunMidFlight(t *testing.T) {
+	build := func() *Network {
+		n := New(nil, nil)
+		n.Bind(burstDst, 256)
+		n.SetLink(LinkParams{Latency: 300 * time.Microsecond})
+		return n
+	}
+	a, b := build(), build()
+	for i := 0; i < 252; i++ {
+		a.Send(burstSrc, burstDst, []byte{byte(i), byte(i >> 8)})
+	}
+	a.Step(300 * time.Microsecond)
+	if got := a.endpoints[burstDst].Pending(); got != 252 {
+		t.Fatalf("%d queued before the burst, want 252", got)
+	}
+	if sent := a.Route(burstSrc, burstDst).SendBurst(bytes.Repeat([]byte{0xA5}, 64), 20); sent != 20 {
+		t.Fatalf("burst admitted %d, want 20", sent)
+	}
+
+	var st NetworkState
+	a.SnapshotInto(&st)
+	b.RestoreFrom(&st)
+	for _, n := range []*Network{a, b} {
+		if len(n.inflight) != 1 || n.InFlight() != 20 {
+			t.Fatalf("%d entries carrying %d packets in flight, want one run of 20", len(n.inflight), n.InFlight())
+		}
+	}
+
+	for _, now := range []time.Duration{599 * time.Microsecond, 600 * time.Microsecond} {
+		a.Step(now)
+		b.Step(now)
+		sa, sb := a.endpoints[burstDst].Stats(), b.endpoints[burstDst].Stats()
+		if sa != sb {
+			t.Fatalf("at %v: stats %+v, restored %+v", now, sa, sb)
+		}
+	}
+	if a.InFlight() != 0 || b.InFlight() != 0 {
+		t.Fatalf("in flight %d and %d after delivery, want 0", a.InFlight(), b.InFlight())
+	}
+	if st := a.endpoints[burstDst].Stats(); st.Delivered != 256 || st.DroppedQueue != 16 {
+		t.Fatalf("delivered %d, dropped at the queue %d; want 256 and 16", st.Delivered, st.DroppedQueue)
+	}
+	da, db := a.endpoints[burstDst].Drain(), b.endpoints[burstDst].Drain()
+	if len(da) != 256 || len(db) != 256 {
+		t.Fatalf("drained %d and %d packets, want 256", len(da), len(db))
+	}
+	for i := range da {
+		if !samePacket(&da[i], &db[i]) {
+			t.Fatalf("packet %d: %+v, restored %+v", i, da[i], db[i])
+		}
+	}
 }

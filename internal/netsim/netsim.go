@@ -10,6 +10,13 @@
 // a free-list pool owned by the Network, receive queues are fixed
 // rings sized at Bind, and Drain hands out a reused scratch slice.
 //
+// On a link without loss or jitter, the packets a burst gets past the
+// rate limit share one delivery instant and one payload, so they travel
+// as one in-flight run that shares one buffer until delivery. Step
+// gives each packet it queues a buffer of its own and counts the rest
+// of the run as queue-full drops at once, so a queued or received
+// packet always owns its buffer.
+//
 // # Payload ownership
 //
 // Payloads are recycled, not garbage collected. Every receive entry
@@ -206,10 +213,14 @@ type LinkParams struct {
 	Loss    float64       // independent drop probability
 }
 
-// flight is one in-fabric packet and its delivery deadline.
+// flight is a run of n in-fabric copies of one packet, sent back to
+// back, and their delivery deadline. A run of n > 1 shares pkt.Payload
+// until Step delivers it; single sends and every packet of a lossy or
+// jittered link travel as runs of one.
 type flight struct {
 	pkt Packet
 	at  time.Duration
+	n   int
 }
 
 // Network is the simulated fabric. Call Step once per simulation tick
@@ -361,13 +372,41 @@ func (n *Network) Send(src, dst Addr, payload []byte) bool {
 // partition is checked once per burst. The fabric clock cannot move
 // inside a burst, so the bucket cannot refill either: after its first
 // refusal every remaining packet is refused too, and they are counted
-// at once. Each admitted packet still draws loss and jitter in turn.
+// at once. On a link without loss or jitter the admitted packets share
+// one delivery instant, so they go in flight as one run holding one
+// pooled copy of payload; a lossy or jittered link goes through
+// sendEach instead.
 func (n *Network) sendTo(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload []byte, count int) int {
 	if n.partitions != nil && n.partitions[hostPair{src.Host, dst.Host}] {
 		ep.stats.DroppedSplit += int64(count)
 		return 0
 	}
-	f := flight{pkt: Packet{Src: src, Dst: dst, SentAt: n.now, ep: ep}, at: n.now}
+	if n.link.Loss > 0 || n.link.Jitter > 0 {
+		return n.sendEach(ep, tb, src, dst, payload, count)
+	}
+	sent := 0
+	for ; sent < count; sent++ {
+		if tb != nil && !tb.Allow(n.now) {
+			ep.stats.DroppedLimit += int64(count - sent)
+			break
+		}
+	}
+	if sent == 0 {
+		return 0
+	}
+	f := flight{pkt: Packet{Src: src, Dst: dst, SentAt: n.now, ep: ep}, at: n.now + n.link.Latency, n: sent}
+	f.pkt.Payload = append(n.getBuf(len(payload)), payload...)
+	n.inflight = append(n.inflight, f)
+	return sent
+}
+
+// sendEach is sendTo on a lossy or jittered link: each admitted packet
+// draws its loss and then its jitter in send order, and each that
+// survives goes in flight on its own, with its own buffer. The
+// in-flight header is filled once per burst; only the delivery time
+// and payload change per packet.
+func (n *Network) sendEach(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload []byte, count int) int {
+	f := flight{pkt: Packet{Src: src, Dst: dst, SentAt: n.now, ep: ep}, n: 1}
 	sent := 0
 	for i := 0; i < count; i++ {
 		if tb != nil && !tb.Allow(n.now) {
@@ -443,7 +482,8 @@ func (r *Route) resolve() bool {
 // Step advances the fabric to the given simulated time, delivering
 // every in-flight packet whose latency has elapsed, in send order.
 // Packets dropped at delivery (queue full, endpoint gone) return their
-// payload buffers to the pool.
+// payload buffers to the pool. A run is delivered in its place, by
+// deliverRun; every packet it queues owns its buffer from then on.
 func (n *Network) Step(now time.Duration) {
 	n.now = now
 	kept := 0
@@ -454,6 +494,10 @@ func (n *Network) Step(now time.Duration) {
 				n.inflight[kept] = *f
 			}
 			kept++
+			continue
+		}
+		if f.n != 1 {
+			n.deliverRun(f)
 			continue
 		}
 		ep := f.pkt.ep
@@ -476,5 +520,44 @@ func (n *Network) Step(now time.Duration) {
 	n.inflight = n.inflight[:kept]
 }
 
-// InFlight reports packets not yet delivered.
-func (n *Network) InFlight() int { return len(n.inflight) }
+// deliverRun queues as much of a run as the receive ring has room for,
+// exactly as that many single deliveries in a row would, and counts the
+// rest as queue-full drops at once. Each queued packet gets a pooled
+// copy of its own except the last, which takes the run's buffer; a run
+// with nothing queued returns its buffer to the pool.
+func (n *Network) deliverRun(f *flight) {
+	ep := f.pkt.ep
+	k := min(f.n, len(ep.ring)-ep.count)
+	ep.stats.DroppedQueue += int64(f.n - k)
+	if k == 0 {
+		n.putBuf(f.pkt.Payload)
+		return
+	}
+	ep.stats.Delivered += int64(k)
+	ep.stats.BytesDelivered += int64(k * len(f.pkt.Payload))
+	tail := ep.head + ep.count
+	ep.count += k
+	p := f.pkt
+	for j := 1; j <= k; j++ {
+		if j < k {
+			p.Payload = append(n.getBuf(len(f.pkt.Payload)), f.pkt.Payload...)
+		} else {
+			p.Payload = f.pkt.Payload
+		}
+		if tail >= len(ep.ring) {
+			tail -= len(ep.ring)
+		}
+		ep.ring[tail] = p
+		tail++
+	}
+}
+
+// InFlight reports packets not yet delivered; a run counts each of its
+// packets.
+func (n *Network) InFlight() int {
+	total := 0
+	for i := range n.inflight {
+		total += n.inflight[i].n
+	}
+	return total
+}

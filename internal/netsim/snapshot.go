@@ -41,9 +41,12 @@ type bucketState struct {
 	last   time.Duration
 }
 
+// flightState is one in-flight run: n copies of one packet, held as
+// one payload copy.
 type flightState struct {
 	packetState
 	at time.Duration
+	n  int
 }
 
 func capturePacket(dst *packetState, p *Packet) {
@@ -106,14 +109,16 @@ func (n *Network) SnapshotInto(st *NetworkState) {
 		fs := &st.inflight[len(st.inflight)-1]
 		capturePacket(&fs.packetState, &f.pkt)
 		fs.at = f.at
+		fs.n = f.n
 	}
 }
 
 // RestoreFrom rewinds the network to a captured state. The network
 // must carry the same topology as the capture source (same scenario,
 // same Binds and Limits); a missing endpoint or bucket panics. Queued
-// and in-flight payloads are re-materialized from the pool, so the
-// state remains valid for further restores.
+// and in-flight payloads are re-materialized from the pool, one buffer
+// per in-flight run as at capture, so the state remains valid for
+// further restores.
 func (n *Network) RestoreFrom(st *NetworkState) {
 	if len(st.endpoints) != len(n.endpoints) || len(st.limits) != len(n.limits) {
 		panic("netsim: RestoreFrom with mismatched topology; source and target must share a scenario")
@@ -181,6 +186,7 @@ func (n *Network) RestoreFrom(st *NetworkState) {
 		n.inflight = append(n.inflight, flight{
 			pkt: Packet{Src: fs.src, Dst: fs.dst, Payload: buf, SentAt: fs.sentAt, ep: ep},
 			at:  fs.at,
+			n:   fs.n,
 		})
 	}
 }
