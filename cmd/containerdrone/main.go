@@ -79,25 +79,25 @@ func main() {
 	for _, kv := range sets {
 		key, val, ok := strings.Cut(kv, "=")
 		if !ok {
-			fatal(fmt.Errorf("bad -set %q (want key=value)", kv))
+			usage(fmt.Errorf("bad -set %q (want key=value)", kv))
 		}
 		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 		if err != nil {
-			fatal(fmt.Errorf("bad -set value %q: %v", kv, err))
+			usage(fmt.Errorf("bad -set value %q: %v", kv, err))
 		}
 		params[strings.TrimSpace(key)] = v
 	}
 
 	parsed, err := cliutil.ParseSweeps(sweeps)
 	if err != nil {
-		fatal(err)
+		usage(err)
 	}
 
 	if *runs > 1 || len(parsed) > 0 {
 		// Fail loudly on single-run-only flags instead of silently
 		// producing no file.
 		if *csvPath != "" || *bbPath != "" {
-			fatal(fmt.Errorf("-csv and -blackbox are single-run flags; campaigns emit -records-csv/-agg-csv/-json"))
+			usage(fmt.Errorf("-csv and -blackbox are single-run flags; campaigns emit -records-csv/-agg-csv/-json"))
 		}
 		runCampaign(ctx, *scenario, params, parsed, *runs, *parallel, *seed, *duration,
 			*fork, *recCSV, *aggCSV, *jsonPath)
@@ -134,7 +134,7 @@ func runCampaign(ctx context.Context, scenario string, params map[string]float64
 	}
 	// A refused campaign must leave every output file as it was.
 	if err := containerdrone.NewCampaign(scenario, opts...).Validate(); err != nil {
-		fatal(err)
+		usage(err)
 	}
 	// Records stream to disk as runs complete, off the workers' hot
 	// path, so long campaigns are observable with tail -f. The stream
@@ -208,8 +208,7 @@ func runSingle(ctx context.Context, scenario string, params map[string]float64, 
 	}
 	sim, err := containerdrone.New(scenario, opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usage(err)
 	}
 	res, runErr := sim.Run(ctx)
 	if res == nil {
@@ -267,7 +266,15 @@ func replayBlackbox(path string) error {
 	return nil
 }
 
+// fatal reports a runtime failure and exits 1.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
+}
+
+// usage reports a refused request (bad flags, an unknown scenario or
+// parameter, a flight or campaign its Validate refuses) and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }

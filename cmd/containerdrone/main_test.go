@@ -44,7 +44,7 @@ func runCLI(t *testing.T, dir string, args ...string) (int, string) {
 }
 
 // TestRefusedCampaignKeepsRecordsFile pins that a campaign refused by
-// validation exits 1 before it touches -records-csv: an existing file
+// validation exits 2 before it touches -records-csv: an existing file
 // keeps its content.
 func TestRefusedCampaignKeepsRecordsFile(t *testing.T) {
 	dir := t.TempDir()
@@ -55,8 +55,8 @@ func TestRefusedCampaignKeepsRecordsFile(t *testing.T) {
 	}
 	code, out := runCLI(t, dir, "-scenario", "gps-spoof", "-sweep", "bus.capacity=2e9,0",
 		"-records-csv", "rec.csv", "-duration", "1s")
-	if code != 1 || !strings.Contains(out, "bus capacity") {
-		t.Fatalf("exit %d, output %q; want exit 1 naming the bad bus capacity", code, out)
+	if code != 2 || !strings.Contains(out, "bus capacity") {
+		t.Fatalf("exit %d, output %q; want exit 2 naming the bad bus capacity", code, out)
 	}
 	got, err := os.ReadFile(rec)
 	if err != nil {
@@ -102,5 +102,30 @@ func TestCampaignWritesRecordsFile(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("streamed rec.csv differs from the JSON's records:\n%s\nwant:\n%s", got, want.Bytes())
+	}
+}
+
+// TestRefusalExitsTwo pins that a request the CLI refuses exits 2,
+// whether it asks for one flight or a campaign, and names the cause.
+func TestRefusalExitsTwo(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scenario", "nosuch"}, "nosuch"},
+		{[]string{"-scenario", "nosuch", "-runs", "2"}, "nosuch"},
+		{[]string{"-set", "bogus=1"}, "bogus"},
+		{[]string{"-sweep", "bogus=1"}, "bogus"},
+		{[]string{"-sweep", "wind"}, "wind"},
+		{[]string{"-set", "wind"}, "key=value"},
+		{[]string{"-set", "wind=fast"}, "wind=fast"},
+		{[]string{"-runs", "2", "-csv", "t.csv"}, "single-run"},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		code, out := runCLI(t, dir, append(c.args, "-duration", "1s")...)
+		if code != 2 || !strings.Contains(out, c.want) {
+			t.Errorf("%v: exit %d, output %q; want exit 2 naming %q", c.args, code, out, c.want)
+		}
 	}
 }
