@@ -404,7 +404,9 @@ func (n *Network) sendTo(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload [
 // draws its loss and then its jitter in send order, and each that
 // survives goes in flight on its own, with its own buffer. The
 // in-flight header is filled once per burst; only the delivery time
-// and payload change per packet.
+// and payload change per packet. It runs the bucket itself: sharing
+// sendTo's bucket loop ahead of the branch made the single send into
+// a limited port about 4% slower.
 func (n *Network) sendEach(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload []byte, count int) int {
 	f := flight{pkt: Packet{Src: src, Dst: dst, SentAt: n.now, ep: ep}, n: 1}
 	sent := 0
