@@ -19,9 +19,9 @@ type burstFabric struct {
 
 	// bufs holds every payload buffer the fabric has been seen to hand
 	// out, keyed by its backing array and kept referenced so no address
-	// is reused; retired marks those getBuf dropped as too small.
-	bufs    map[*byte][]byte
-	retired map[*byte]bool
+	// is reused; size is their one capacity.
+	bufs map[*byte][]byte
+	size int
 }
 
 var (
@@ -33,7 +33,7 @@ var (
 // burstDst, an optional token bucket on it, and the given link. The
 // random sources are seeded alike on both sides of a pair.
 func newBurstFabric(seed uint64, link LinkParams, rate, burst float64, bind bool) *burstFabric {
-	f := &burstFabric{bufs: make(map[*byte][]byte), retired: make(map[*byte]bool)}
+	f := &burstFabric{bufs: make(map[*byte][]byte)}
 	rng := sim.NewRNG(seed)
 	f.net = New(
 		func() float64 { f.norms++; return rng.Norm() },
@@ -116,24 +116,28 @@ func inflightPackets(n *Network) []flight {
 // none appears twice across the pool, the in-flight runs, the receive
 // ring and the buffers lent to the last receive call, and pool +
 // distinct in-flight buffers + queued + lent equals the buffers ever
-// handed out. The one legitimate way out of circulation is getBuf
-// dropping a pooled buffer too small for a later payload, so a vanished
-// buffer counts as retired only when it is smaller than the longest
-// live payload; any other is a leak.
+// handed out. getBuf drops a pooled buffer only when it is too small
+// for the payload, so the oracle sends one payload size per fabric and
+// requires every buffer to have that capacity: then nothing may leave
+// circulation.
 func checkBuffers(t *testing.T, f *burstFabric) {
 	t.Helper()
 	live := make(map[*byte]bool)
-	longest := 0
 	add := func(where string, b []byte) {
 		if cap(b) == 0 {
 			t.Fatalf("empty buffer %s: the oracle identifies buffers by their first byte", where)
+		}
+		if f.size == 0 {
+			f.size = cap(b)
+		}
+		if cap(b) != f.size {
+			t.Fatalf("buffer of capacity %d %s beside capacity %d: the oracle needs one payload size", cap(b), where, f.size)
 		}
 		p := &b[:cap(b)][0]
 		if live[p] {
 			t.Fatalf("buffer %p appears twice, again %s", p, where)
 		}
 		live[p] = true
-		longest = max(longest, len(b))
 		if f.bufs[p] == nil {
 			f.bufs[p] = b
 		}
@@ -153,14 +157,8 @@ func checkBuffers(t *testing.T, f *burstFabric) {
 			add("lent", b)
 		}
 	}
-	for p, b := range f.bufs {
-		if !live[p] && !f.retired[p] && cap(b) < longest {
-			f.retired[p] = true
-		}
-	}
-	if len(live)+len(f.retired) != len(f.bufs) {
-		t.Fatalf("%d buffers live and %d retired, but %d handed out: a buffer leaked or came back",
-			len(live), len(f.retired), len(f.bufs))
+	if len(live) != len(f.bufs) {
+		t.Fatalf("%d buffers live, but %d handed out: a buffer leaked", len(live), len(f.bufs))
 	}
 }
 
@@ -250,7 +248,7 @@ func TestSendBurstMatchesSingleSends(t *testing.T) {
 				b := newBurstFabric(3, c.link, c.rate, c.burst, !c.unbound)
 				for _, f := range []*burstFabric{a, b} {
 					for i := 0; i < c.pre; i++ {
-						f.route.Send([]byte{byte(i)})
+						f.route.Send(bytes.Repeat([]byte{byte(i)}, len(payload)))
 					}
 				}
 				stepBoth(t, a, b, 0)

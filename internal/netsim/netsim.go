@@ -374,22 +374,25 @@ func (n *Network) Send(src, dst Addr, payload []byte) bool {
 // refusal every remaining packet is refused too, and they are counted
 // at once. On a link without loss or jitter the admitted packets share
 // one delivery instant, so they go in flight as one run holding one
-// pooled copy of payload; a lossy or jittered link goes through
-// sendEach instead.
+// pooled copy of payload; on a lossy or jittered link sendEach puts
+// each admitted packet in flight on its own.
 func (n *Network) sendTo(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload []byte, count int) int {
 	if n.partitions != nil && n.partitions[hostPair{src.Host, dst.Host}] {
 		ep.stats.DroppedSplit += int64(count)
 		return 0
 	}
-	if n.link.Loss > 0 || n.link.Jitter > 0 {
-		return n.sendEach(ep, tb, src, dst, payload, count)
-	}
-	sent := 0
-	for ; sent < count; sent++ {
-		if tb != nil && !tb.Allow(n.now) {
-			ep.stats.DroppedLimit += int64(count - sent)
-			break
+	sent := count
+	if tb != nil {
+		for i := 0; i < count; i++ {
+			if !tb.Allow(n.now) {
+				ep.stats.DroppedLimit += int64(count - i)
+				sent = i
+				break
+			}
 		}
+	}
+	if n.link.Loss > 0 || n.link.Jitter > 0 {
+		return n.sendEach(ep, src, dst, payload, sent)
 	}
 	if sent == 0 {
 		return 0
@@ -400,21 +403,14 @@ func (n *Network) sendTo(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload [
 	return sent
 }
 
-// sendEach is sendTo on a lossy or jittered link: each admitted packet
-// draws its loss and then its jitter in send order, and each that
-// survives goes in flight on its own, with its own buffer. The
-// in-flight header is filled once per burst; only the delivery time
-// and payload change per packet. It runs the bucket itself: sharing
-// sendTo's bucket loop ahead of the branch made the single send into
-// a limited port about 4% slower.
-func (n *Network) sendEach(ep *Endpoint, tb *TokenBucket, src, dst Addr, payload []byte, count int) int {
+// sendEach puts the admitted packets of a burst in flight one by one
+// on a lossy or jittered link: each draws its loss and then its jitter
+// in send order, and each that survives goes in flight as a run of one
+// with its own buffer. It returns how many survived.
+func (n *Network) sendEach(ep *Endpoint, src, dst Addr, payload []byte, admitted int) int {
 	f := flight{pkt: Packet{Src: src, Dst: dst, SentAt: n.now, ep: ep}, n: 1}
 	sent := 0
-	for i := 0; i < count; i++ {
-		if tb != nil && !tb.Allow(n.now) {
-			ep.stats.DroppedLimit += int64(count - i)
-			break
-		}
+	for i := 0; i < admitted; i++ {
 		if n.link.Loss > 0 && n.uniform() < n.link.Loss {
 			ep.stats.DroppedLoss++
 			continue
@@ -482,10 +478,13 @@ func (r *Route) resolve() bool {
 }
 
 // Step advances the fabric to the given simulated time, delivering
-// every in-flight packet whose latency has elapsed, in send order.
-// Packets dropped at delivery (queue full, endpoint gone) return their
-// payload buffers to the pool. A run is delivered in its place, by
-// deliverRun; every packet it queues owns its buffer from then on.
+// every in-flight run whose latency has elapsed, in send order. A run
+// queues as many packets as the receive ring has room for, exactly as
+// that many single deliveries in a row would, and counts the rest as
+// queue-full drops at once. Each queued packet gets a pooled copy of
+// its own except the last, which takes the run's buffer, so every
+// queued packet owns its buffer; a run with nothing queued returns its
+// buffer to the pool.
 func (n *Network) Step(now time.Duration) {
 	n.now = now
 	kept := 0
@@ -498,60 +497,35 @@ func (n *Network) Step(now time.Duration) {
 			kept++
 			continue
 		}
-		if f.n != 1 {
-			n.deliverRun(f)
-			continue
-		}
 		ep := f.pkt.ep
-		if ep.count >= len(ep.ring) {
-			ep.stats.DroppedQueue++
-			n.putBuf(f.pkt.Payload)
-			continue
+		k := f.n
+		if free := len(ep.ring) - ep.count; k > free {
+			ep.stats.DroppedQueue += int64(k - free)
+			if k = free; k == 0 {
+				n.putBuf(f.pkt.Payload)
+				continue
+			}
 		}
+		ep.stats.Delivered += int64(k)
+		ep.stats.BytesDelivered += int64(k * len(f.pkt.Payload))
 		tail := ep.head + ep.count
+		ep.count += k
+		for ; k > 1; k-- {
+			if tail >= len(ep.ring) {
+				tail -= len(ep.ring)
+			}
+			ep.ring[tail] = f.pkt
+			ep.ring[tail].Payload = append(n.getBuf(len(f.pkt.Payload)), f.pkt.Payload...)
+			tail++
+		}
 		if tail >= len(ep.ring) {
 			tail -= len(ep.ring)
 		}
 		ep.ring[tail] = f.pkt
-		ep.count++
-		ep.stats.Delivered++
-		ep.stats.BytesDelivered += int64(len(f.pkt.Payload))
 	}
 	// The truncated tail keeps its payload references; they point into
 	// the pool, which owns the buffers either way.
 	n.inflight = n.inflight[:kept]
-}
-
-// deliverRun queues as much of a run as the receive ring has room for,
-// exactly as that many single deliveries in a row would, and counts the
-// rest as queue-full drops at once. Each queued packet gets a pooled
-// copy of its own except the last, which takes the run's buffer; a run
-// with nothing queued returns its buffer to the pool.
-func (n *Network) deliverRun(f *flight) {
-	ep := f.pkt.ep
-	k := min(f.n, len(ep.ring)-ep.count)
-	ep.stats.DroppedQueue += int64(f.n - k)
-	if k == 0 {
-		n.putBuf(f.pkt.Payload)
-		return
-	}
-	ep.stats.Delivered += int64(k)
-	ep.stats.BytesDelivered += int64(k * len(f.pkt.Payload))
-	tail := ep.head + ep.count
-	ep.count += k
-	p := f.pkt
-	for j := 1; j <= k; j++ {
-		if j < k {
-			p.Payload = append(n.getBuf(len(f.pkt.Payload)), f.pkt.Payload...)
-		} else {
-			p.Payload = f.pkt.Payload
-		}
-		if tail >= len(ep.ring) {
-			tail -= len(ep.ring)
-		}
-		ep.ring[tail] = p
-		tail++
-	}
 }
 
 // InFlight reports packets not yet delivered; a run counts each of its

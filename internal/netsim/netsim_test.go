@@ -170,6 +170,30 @@ func TestRateLimitCapsThroughput(t *testing.T) {
 	}
 }
 
+// TestRateLimitHoldsOnEveryLink sends a 20-packet burst and then 20
+// single sends at one instant into a 5-token bucket, on a clean, a
+// lossy and a jittered link: only the bucket's 5 packets may get past
+// it, to be lost or delivered, and the other 35 count as DroppedLimit.
+func TestRateLimitHoldsOnEveryLink(t *testing.T) {
+	for _, link := range []LinkParams{{}, {Loss: 0.3}, {Jitter: 100 * time.Microsecond}} {
+		rng := sim.NewRNG(5)
+		n := New(rng.Norm, rng.Float64)
+		n.SetLink(link)
+		ep := n.Bind(hce, 64)
+		n.Limit(hce, 8000, 5)
+		n.Route(cce, hce).SendBurst([]byte("flood"), 20)
+		for i := 0; i < 20; i++ {
+			n.Send(cce, hce, []byte("flood"))
+		}
+		n.Step(time.Second)
+		st := ep.Stats()
+		if st.DroppedLimit != 35 || st.Delivered+st.DroppedLoss != 5 {
+			t.Fatalf("link %+v: limited %d, delivered %d, lost %d; want 35 limited and 5 past the bucket",
+				link, st.DroppedLimit, st.Delivered, st.DroppedLoss)
+		}
+	}
+}
+
 func TestLimitRemoval(t *testing.T) {
 	n := New(nil, nil)
 	n.Bind(hce, 1024)
